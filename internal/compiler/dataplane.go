@@ -72,7 +72,7 @@ func (p *serviceProcessor) cacheKey(cfg services.Config, shard *evidence.Map) st
 
 // invokeShard performs one service invocation, through the cache when the
 // mode allows. Cached values are response envelopes — immutable once
-// stored; every consumer decodes its own fresh maps from them.
+// stored; every consumer reads its own fresh maps from them.
 func (p *serviceProcessor) invokeShard(ctx context.Context, shard *evidence.Map, cfg services.Config) (*services.Envelope, error) {
 	invoke := func() (*services.Envelope, error) {
 		req := services.NewEnvelope(shard)
@@ -173,7 +173,7 @@ func (p *serviceProcessor) invokeShards(ctx context.Context, shards []*evidence.
 	return resps, nil
 }
 
-// mergeMapResponses decodes each shard response's map and concatenates
+// mergeMapResponses reads each shard response's map and concatenates
 // them in shard order — for item-scoped services this reconstructs
 // exactly the map a single whole-input invocation would have returned.
 func (p *serviceProcessor) mergeMapResponses(resps []*services.Envelope) (*evidence.Map, error) {

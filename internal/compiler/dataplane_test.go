@@ -284,6 +284,56 @@ func TestProcessorCacheGates(t *testing.T) {
 	}
 }
 
+// TestCachedResponseReadsAreIndependent: a cached response envelope is
+// shared by every later hit, so each read of it must yield a map the
+// reader owns. Mutating the output of one run must not show in the next
+// run served from the same cache entry, for map and split responses alike.
+func TestCachedResponseReadsAreIndependent(t *testing.T) {
+	for _, tc := range []struct {
+		mode  mode
+		outs  []string
+		split []string
+	}{
+		{modeAssertion, []string{PortAnnotations}, nil},
+		{modeSplit, []string{"left", PortDefault}, []string{"left", PortDefault}},
+	} {
+		svc := &echoService{name: fmt.Sprintf("shared-%d", tc.mode), scope: services.ScopeItem, splitInto: tc.split}
+		p := &serviceProcessor{
+			name: fmt.Sprintf("P:shared-%d", tc.mode), svc: svc, mode: tc.mode,
+			inPort: PortAnnotations, outs: tc.outs,
+			cache: qcache.New(qcache.Options{Name: fmt.Sprintf("t-shared-%d", tc.mode)}),
+		}
+		run := func() workflow.Ports {
+			out, err := p.Execute(context.Background(), workflow.Ports{PortAnnotations: echoItems(4)})
+			if err != nil {
+				t.Fatalf("mode %d: %v", tc.mode, err)
+			}
+			return out
+		}
+		first := run()
+		want := make(map[string]string, len(first))
+		for port, v := range first {
+			want[port] = canonical(t, v.(*evidence.Map))
+			m := v.(*evidence.Map)
+			m.Set(rdf.IRI("urn:echo:00"), rdf.IRI("urn:echo:tamper"), evidence.Int(1))
+			m.RemoveFirst(1)
+		}
+		second := run()
+		if got := svc.invokes.Load(); got != 1 {
+			t.Fatalf("mode %d: %d invocations, want the second run served from cache", tc.mode, got)
+		}
+		for port, v := range second {
+			m := v.(*evidence.Map)
+			if got := canonical(t, m); got != want[port] {
+				t.Errorf("mode %d port %q: the cached response carries the first reader's mutation:\n%v", tc.mode, port, m)
+			}
+			if first[port] == v {
+				t.Errorf("mode %d port %q: two reads returned the same map", tc.mode, port)
+			}
+		}
+	}
+}
+
 // TestCollectionScopedServiceNeverShards: a service that does not declare
 // item scope receives the whole map regardless of shard size.
 func TestCollectionScopedServiceNeverShards(t *testing.T) {

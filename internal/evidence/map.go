@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -158,13 +159,17 @@ func (m *Map) Class(it Item, model rdf.Term) rdf.Term {
 	return rdf.Term{}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. It copies the order, index and rows in bulk
+// (values are immutable, so copying them shallowly is deep enough): this
+// is the per-hop cost of every in-process service call.
 func (m *Map) Clone() *Map {
-	out := NewMap(m.order...)
+	out := &Map{
+		order:  append([]Item(nil), m.order...),
+		index:  maps.Clone(m.index),
+		values: make(map[Item]map[Key]Value, len(m.values)),
+	}
 	for it, row := range m.values {
-		for k, v := range row {
-			out.Set(it, k, v)
-		}
+		out.values[it] = maps.Clone(row)
 	}
 	return out
 }

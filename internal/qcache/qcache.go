@@ -13,8 +13,8 @@
 //
 // Cached values are shared between callers and MUST be treated as
 // immutable. The data plane stores response *services.Envelope values,
-// which every consumer decodes into fresh evidence maps, so the shared
-// value is never written after insertion. Invocations whose result
+// which hand every consumer a fresh clone of their evidence maps, so the
+// shared value is never written after insertion. Invocations whose result
 // depends on state outside the envelope (data enrichment reads
 // repositories; annotators write them) must not be cached — see
 // DESIGN.md "Enactment data plane".

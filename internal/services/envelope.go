@@ -35,6 +35,19 @@ type Envelope struct {
 	Groups []Group `xml:"Group,omitempty"`
 	// Error carries a fault message on responses.
 	Error string `xml:"Error,omitempty"`
+
+	// The typed form, set by NewEnvelope/SetMap/SetGroups: in-process
+	// calls hand maps over by reference and only Marshal encodes them, so
+	// no string is formatted or parsed unless the envelope crosses a wire.
+	// While set, it takes precedence over DataSet/Annotations/Groups.
+	m      *evidence.Map
+	groups []namedMap // non-nil once SetGroups ran, even with no groups
+}
+
+// namedMap is one typed splitter output.
+type namedMap struct {
+	name string
+	m    *evidence.Map
 }
 
 // Config is a list of named string parameters.
@@ -99,38 +112,64 @@ type Group struct {
 	Annotations AnnotationMapXML `xml:"AnnotationMap"`
 }
 
-// NewEnvelope builds an envelope from an annotation map.
+// NewEnvelope builds an envelope carrying the annotation map. The
+// envelope keeps m by reference (see SetMap), so the caller must not
+// mutate m afterwards.
 func NewEnvelope(m *evidence.Map) *Envelope {
 	e := &Envelope{}
 	e.SetMap(m)
 	return e
 }
 
-// SetMap encodes the annotation map (items + entries) into the envelope.
+// SetMap makes m the envelope's data set and annotation map. The map is
+// kept by reference, not encoded: readers get clones (Map) and Marshal
+// encodes it when the envelope goes over a wire. A nil m is an empty map.
 func (e *Envelope) SetMap(m *evidence.Map) {
-	e.DataSet, e.Annotations = encodeMap(m)
+	if m == nil {
+		m = evidence.NewMap()
+	}
+	e.m = m
+	e.DataSet, e.Annotations = DataSet{}, AnnotationMapXML{}
 }
 
-// Map decodes the envelope's data set and annotation map.
+// Map returns the envelope's annotation map. Every call returns a fresh
+// map the caller owns: a clone of the typed map, or one decoded (and
+// validated) from the wire form of an unmarshalled envelope.
 func (e *Envelope) Map() (*evidence.Map, error) {
+	if e.m != nil {
+		return e.m.Clone(), nil
+	}
 	return decodeMap(e.DataSet, e.Annotations)
 }
 
-// SetGroups encodes splitter outputs. Group order follows names.
+// SetGroups makes the splitter outputs the envelope's groups, in the
+// given order; names absent from groups are skipped. The maps are kept by
+// reference, as in SetMap.
 func (e *Envelope) SetGroups(groups map[string]*evidence.Map, order []string) {
-	e.Groups = e.Groups[:0]
+	e.groups = make([]namedMap, 0, len(order))
 	for _, name := range order {
 		m, ok := groups[name]
 		if !ok {
 			continue
 		}
-		ds, am := encodeMap(m)
-		e.Groups = append(e.Groups, Group{Name: name, DataSet: ds, Annotations: am})
+		if m == nil {
+			m = evidence.NewMap()
+		}
+		e.groups = append(e.groups, namedMap{name: name, m: m})
 	}
+	e.Groups = nil
 }
 
-// GroupMaps decodes the envelope's groups.
+// GroupMaps returns the envelope's groups as fresh maps the caller owns,
+// as Map does.
 func (e *Envelope) GroupMaps() (map[string]*evidence.Map, error) {
+	if e.groups != nil {
+		out := make(map[string]*evidence.Map, len(e.groups))
+		for _, g := range e.groups {
+			out[g.name] = g.m.Clone()
+		}
+		return out, nil
+	}
 	out := make(map[string]*evidence.Map, len(e.Groups))
 	for _, g := range e.Groups {
 		m, err := decodeMap(g.DataSet, g.Annotations)
@@ -145,9 +184,6 @@ func (e *Envelope) GroupMaps() (map[string]*evidence.Map, error) {
 func encodeMap(m *evidence.Map) (DataSet, AnnotationMapXML) {
 	var ds DataSet
 	var am AnnotationMapXML
-	if m == nil {
-		return ds, am
-	}
 	keys := m.Keys()
 	for _, item := range m.Items() {
 		ds.Items = append(ds.Items, ItemRef{URI: item.Value()})
@@ -224,9 +260,22 @@ func decodeValue(kind, raw string) (evidence.Value, error) {
 	}
 }
 
-// Marshal renders the envelope as XML.
+// Marshal renders the envelope as XML, encoding its typed form into the
+// wire fields of a copy: e itself is never written, so a shared (cached)
+// envelope may be marshalled concurrently.
 func (e *Envelope) Marshal() ([]byte, error) {
-	return xml.MarshalIndent(e, "", "  ")
+	wire := *e
+	if e.m != nil {
+		wire.DataSet, wire.Annotations = encodeMap(e.m)
+	}
+	if e.groups != nil {
+		wire.Groups = nil
+		for _, g := range e.groups {
+			ds, am := encodeMap(g.m)
+			wire.Groups = append(wire.Groups, Group{Name: g.name, DataSet: ds, Annotations: am})
+		}
+	}
+	return xml.MarshalIndent(&wire, "", "  ")
 }
 
 // UnmarshalEnvelope parses an envelope from XML.

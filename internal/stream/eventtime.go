@@ -300,10 +300,12 @@ func (ew *eventWindower) supersede(fw *eWindow, it Item, t time.Time) *windowJob
 	}
 	fw.gen++
 	j := &windowJob{
-		seq:     ew.seq,
-		items:   append([]evidence.Item(nil), fw.m.Items()...),
-		m:       fw.m.Clone(),
-		decide:  append([]evidence.Item(nil), fw.lastDecide...),
+		seq:   ew.seq,
+		items: append([]evidence.Item(nil), fw.m.Items()...),
+		m:     fw.m.Clone(),
+		// Copied into a non-nil slice: a nil decide set would read as
+		// items[decideFrom:] and re-decide the whole window.
+		decide:  append(make([]evidence.Item, 0, len(fw.lastDecide)), fw.lastDecide...),
 		stats:   snapshotAccs(fw.accs),
 		firedAt: time.Now(),
 		kind:    fw.kind,

@@ -230,6 +230,44 @@ func TestLateItemSupersedesWindow(t *testing.T) {
 	}
 }
 
+func TestLateSupersedeOfEmptyDecideSet(t *testing.T) {
+	// 100ms windows sliding by 50ms. Items 0 and 1 (t=60, 70) fall in
+	// [0,100) and [50,150); item 2 (t=200) fires both. [0,100) decides
+	// them, so [50,150) fires deciding nothing. A re-arrival of item 0
+	// supersedes both windows: [50,150)'s re-fire must still decide
+	// nothing. A fresh late item 3 (t=120) then supersedes [50,150) again
+	// and is its only decision.
+	items := []stream.Item{
+		etItem(0, 60), etItem(1, 70),
+		etItem(2, 200),
+		etItem(0, 60),
+		etItem(3, 120),
+	}
+	results := enactItems(t, eventCfg(stream.Config{
+		WindowDuration:  100 * time.Millisecond,
+		SlideDuration:   50 * time.Millisecond,
+		AllowedLateness: time.Second,
+	}), items)
+	var second []stream.WindowResult // emissions of [50,150), in order
+	for _, r := range results {
+		if r.Start == 50 && r.End == 150 {
+			second = append(second, r)
+		}
+	}
+	if len(second) != 3 {
+		t.Fatalf("[50,150) emitted %d times, want 3 (original + two re-fires): %+v", len(second), results)
+	}
+	if second[0].Late || len(second[0].Decisions) != 0 {
+		t.Fatalf("original [50,150) = late %v, %d decisions; want on time, none", second[0].Late, len(second[0].Decisions))
+	}
+	if !second[1].Late || len(second[1].Decisions) != 0 {
+		t.Errorf("re-fire on a re-arrival = late %v, decisions %+v; want late, none", second[1].Late, second[1].Decisions)
+	}
+	if !second[2].Late || len(second[2].Decisions) != 1 || second[2].Decisions[0].Item != hit(3).Value() {
+		t.Errorf("re-fire on a fresh late item = late %v, decisions %+v; want late, only item 3", second[2].Late, second[2].Decisions)
+	}
+}
+
 func TestLateDropPolicy(t *testing.T) {
 	items := []stream.Item{
 		etItem(0, 0), etItem(1, 10),

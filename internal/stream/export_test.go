@@ -1,0 +1,42 @@
+package stream
+
+import (
+	"context"
+
+	"qurator/internal/evidence"
+)
+
+// Hooks for the external tests (package stream_test), which hold the
+// compiled views that tests inside the package cannot build.
+
+// CountWindower drives a count windower directly.
+type CountWindower struct{ w *windower }
+
+// FiredJob is one window job as the windower emitted it.
+type FiredJob struct{ j *windowJob }
+
+// NewCountWindower returns a count windower over cfg.
+func NewCountWindower(cfg Config) *CountWindower {
+	return &CountWindower{w: newWindower(cfg, "test")}
+}
+
+// Push adds one item and returns the jobs it fired.
+func (c *CountWindower) Push(it Item) ([]FiredJob, error) {
+	js, err := c.w.push(it)
+	out := make([]FiredJob, len(js))
+	for i, j := range js {
+		out[i] = FiredJob{j}
+	}
+	return out, err
+}
+
+// Map returns the job's window map itself, not a copy.
+func (f FiredJob) Map() *evidence.Map { return f.j.m }
+
+// Late reports whether the job is a superseding re-fire.
+func (f FiredJob) Late() bool { return f.j.late }
+
+// Enact runs one fired job through e's plan.
+func (e *Enactor) Enact(ctx context.Context, f FiredJob) ([]WindowResult, error) {
+	return e.enactBatch(ctx, *f.j)
+}

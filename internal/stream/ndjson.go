@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"qurator/internal/evidence"
@@ -47,29 +48,42 @@ func DecodeItem(line []byte) (Item, error) {
 	return it, nil
 }
 
+// decodeValue converts one JSON evidence value, dispatching on its first
+// byte (raw is a single value as json.Unmarshal delimits it): null,
+// booleans, strings, and numbers — integers without a fraction or
+// exponent that fit int64 become Int, every other number Float. Objects
+// and arrays are rejected.
 func decodeValue(raw json.RawMessage) (evidence.Value, error) {
-	var v any
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.UseNumber()
-	if err := dec.Decode(&v); err != nil {
-		return evidence.Null, err
+	if len(raw) == 0 {
+		return evidence.Null, io.EOF
 	}
-	switch x := v.(type) {
-	case nil:
+	switch c := raw[0]; {
+	case string(raw) == "null":
 		return evidence.Null, nil
-	case json.Number:
-		if i, err := x.Int64(); err == nil && !strings.ContainsAny(x.String(), ".eE") {
-			return evidence.Int(i), nil
+	case c == 't' || c == 'f':
+		var b bool
+		if err := json.Unmarshal(raw, &b); err != nil {
+			return evidence.Null, err
 		}
-		f, err := x.Float64()
+		return evidence.Bool(b), nil
+	case c == '"':
+		var s string
+		if err := json.Unmarshal(raw, &s); err != nil {
+			return evidence.Null, err
+		}
+		return evidence.String_(s), nil
+	case c == '-' || ('0' <= c && c <= '9'):
+		n := string(raw)
+		if !strings.ContainsAny(n, ".eE") {
+			if i, err := strconv.ParseInt(n, 10, 64); err == nil {
+				return evidence.Int(i), nil
+			}
+		}
+		f, err := strconv.ParseFloat(n, 64)
 		if err != nil {
 			return evidence.Null, err
 		}
 		return evidence.Float(f), nil
-	case string:
-		return evidence.String_(x), nil
-	case bool:
-		return evidence.Bool(x), nil
 	default:
 		return evidence.Null, fmt.Errorf("unsupported evidence value %s", string(raw))
 	}

@@ -71,7 +71,7 @@ type windower struct {
 // firedWindow is the retained snapshot of an emitted count window: enough
 // to re-enact it when one of its items re-arrives late.
 type firedWindow struct {
-	m       *evidence.Map   // window content, refreshed by late arrivals
+	m       *evidence.Map   // window content, replaced (never mutated) by late arrivals
 	items   []evidence.Item // arrival order at fire time
 	decided []evidence.Item // the items THIS window decided
 	gen     int             // fire generation: 0 original, 1+ superseding
@@ -153,14 +153,19 @@ func (w *windower) lateArrival(fw *firedWindow, it Item) []*windowJob {
 		return nil
 	}
 	streamLateItems.With(w.view, "superseded").Inc()
-	fw.m.SetRow(it.ID, it.Evidence)
+	// Copy on write: fw.m is the map of an emitted job, which may still be
+	// enacting, so the refreshed content goes into a clone that becomes
+	// both the retained map and the new job's.
+	m := fw.m.Clone()
+	m.SetRow(it.ID, it.Evidence)
+	fw.m = m
 	fw.gen++
 	j := &windowJob{
 		seq:     w.seq,
 		items:   fw.items,
-		m:       fw.m.Clone(),
+		m:       m,
 		decide:  fw.decided,
-		stats:   recomputeStats(fw.m),
+		stats:   recomputeStats(m),
 		firedAt: time.Now(),
 		late:    true,
 		gen:     fw.gen,
@@ -222,10 +227,11 @@ func (w *windower) fire(partial bool) *windowJob {
 }
 
 // retain remembers a fired window for late-data routing and expires the
-// oldest beyond the retention horizon.
+// oldest beyond the retention horizon. It shares the job's map: nothing
+// mutates a fired map in place (lateArrival copies on write).
 func (w *windower) retain(j *windowJob) {
 	fw := &firedWindow{
-		m:       j.m.Clone(),
+		m:       j.m,
 		items:   j.items,
 		decided: j.items[j.decideFrom:],
 		last:    detach(j),
