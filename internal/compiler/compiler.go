@@ -510,30 +510,41 @@ func (c *Compiled) Execute(ctx context.Context, in workflow.Ports) (workflow.Por
 		span.EndErr(err)
 		return nil, err
 	}
-	if degraded != DegradeOff {
-		c.applyDegradedRouting(out, log, degraded)
-	}
 	span.End()
-	if c.Provenance != nil {
-		rec := provenance.Record{
-			View:       c.Workflow.Name(),
-			Started:    started,
-			Duration:   time.Since(started),
-			Outputs:    map[string]int{},
-			Conditions: c.Conditions(),
-			TraceID:    span.TraceID,
-		}
-		if m, ok := in[PortDataSet].(*evidence.Map); ok {
-			rec.InputSize = m.Len()
-		}
-		for name, v := range out {
-			if m, ok := v.(*evidence.Map); ok {
-				rec.Outputs[name] = m.Len()
-			}
-		}
-		c.Provenance.Record(rec)
+	inputSize := 0
+	if m, ok := in[PortDataSet].(*evidence.Map); ok {
+		inputSize = m.Len()
 	}
+	c.finish(out, log.Failures(), degraded, inputSize, started, span.TraceID)
 	return out, nil
+}
+
+// finish is the per-view epilogue of every enactment of c, standalone
+// (Execute) or as a member of a merged plan (MultiView.EnactMap): it
+// routes undecided items per the degraded mode, then records the run in
+// the provenance log when one is attached.
+func (c *Compiled) finish(out workflow.Ports, failures []Failure, mode DegradedMode, inputSize int, started time.Time, traceID string) {
+	if mode != DegradeOff {
+		c.applyDegradedRouting(out, failures, mode)
+	}
+	if c.Provenance == nil {
+		return
+	}
+	rec := provenance.Record{
+		View:       c.Workflow.Name(),
+		Started:    started,
+		Duration:   time.Since(started),
+		InputSize:  inputSize,
+		Outputs:    map[string]int{},
+		Conditions: c.Conditions(),
+		TraceID:    traceID,
+	}
+	for name, v := range out {
+		if m, ok := v.(*evidence.Map); ok {
+			rec.Outputs[name] = m.Len()
+		}
+	}
+	c.Provenance.Record(rec)
 }
 
 // FilterOutput returns the canonical output name of a filter action.

@@ -127,8 +127,12 @@ func (l *FailureLog) add(f Failure) {
 	l.mu.Unlock()
 }
 
-// Failures returns the recorded failures in occurrence order.
+// Failures returns the recorded failures in occurrence order (none for a
+// nil log).
 func (l *FailureLog) Failures() []Failure {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]Failure(nil), l.failures...)
@@ -217,13 +221,12 @@ func (d *degradeProcessor) Execute(ctx context.Context, in workflow.Ports) (work
 // above" group, where condition-evaluation errors land). The mode is
 // passed in — read once by the caller — so a concurrent SetDegradedMode
 // cannot split one run across two policies.
-func (c *Compiled) applyDegradedRouting(out workflow.Ports, log *FailureLog, mode DegradedMode) {
+func (c *Compiled) applyDegradedRouting(out workflow.Ports, failures []Failure, mode DegradedMode) {
 	if mode == DegradeQuarantine {
 		if _, ok := out[QuarantineOutput]; !ok {
 			out[QuarantineOutput] = evidence.NewMap()
 		}
 	}
-	failures := log.Failures()
 	if len(failures) == 0 {
 		return
 	}

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"qurator/internal/evidence"
-	"qurator/internal/provenance"
 	"qurator/internal/qcache"
 	"qurator/internal/rdf"
 	"qurator/internal/telemetry"
@@ -132,6 +131,7 @@ type memberView struct {
 	view   *Compiled
 	prefix string            // output namespace: "<view name>/"
 	procs  map[string]string // merged quality-proc name → this view's own name
+	cons   string            // merged consolidation feeding this view's actions
 }
 
 // MultiView is N compiled views merged into one enactable plan: shared
@@ -145,6 +145,9 @@ type MultiView struct {
 	name    string
 	wf      *workflow.Workflow
 	members []*memberView
+	// consReaders counts the member views reading each merged
+	// consolidation; a shared one is cloned per view at enactment.
+	consReaders map[string]int
 
 	sharedPrefixes int // quality-service processors used by ≥ 2 views
 	mergedQuality  int // distinct quality-service processors in the plan
@@ -186,6 +189,9 @@ func (b *mergeBuilder) control(c workflow.ControlLink) {
 
 // MergeViews builds a MultiView over the given compiled views. View names
 // must be unique — they namespace the merged outputs ("<view>/<output>").
+// A plan of one view is named after that view, so its enactment span
+// ("enact:<view>") and the telemetry labelled by plan name read as the
+// view's own.
 //
 // Merged enactment runs every annotator once regardless of how many views
 // declare it; that is equivalent to independent enactment because
@@ -217,7 +223,11 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 	}
 
 	mv := &MultiView{
-		name: fmt.Sprintf("mqo:%d@%s", len(views), nameKey.Sum()[:10]),
+		name:        fmt.Sprintf("mqo:%d@%s", len(views), nameKey.Sum()[:10]),
+		consReaders: map[string]int{},
+	}
+	if len(views) == 1 {
+		mv.name = views[0].Workflow.Name()
 	}
 	b := &mergeBuilder{wf: workflow.New(mv.name)}
 	shared := map[string]string{} // subgraph fingerprint → merged proc name
@@ -300,6 +310,8 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 			}
 			shared[fp.cons] = cm
 		}
+		member.cons = cm
+		mv.consReaders[cm]++
 		b.bindOutput(member.prefix+OutputAnnotations, cm, PortAnnotations)
 
 		// Actions are never shared: their conditions are per-view and
@@ -340,6 +352,9 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 // checkAnnotatorConflicts refuses merges whose annotator writes would
 // race sibling views' enrichment reads (see MergeViews doc).
 func checkAnnotatorConflicts(views []*Compiled, prints []viewPrints) error {
+	if len(views) < 2 {
+		return nil // a plan of one has no sibling view to race
+	}
 	type provider struct {
 		view, svc, fp string
 	}
@@ -472,18 +487,15 @@ func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string
 		for _, name := range v.Outputs {
 			vout[name] = out[member.prefix+name]
 		}
-		// Each view gets its own copy of the (possibly shared)
-		// consolidated map: degraded routing writes markers into it.
+		// Degraded routing writes markers into the consolidated map, so a
+		// view whose consolidation siblings also read gets its own copy.
 		if ann, ok := out[member.prefix+OutputAnnotations].(*evidence.Map); ok {
-			vout[OutputAnnotations] = ann.Clone()
-		}
-		if mode != DegradeOff {
-			vlog := NewFailureLog()
-			for _, f := range vfail {
-				vlog.add(f)
+			if mv.consReaders[member.cons] > 1 {
+				ann = ann.Clone()
 			}
-			v.applyDegradedRouting(vout, vlog, mode)
+			vout[OutputAnnotations] = ann
 		}
+		v.finish(vout, vfail, mode, in.Len(), started, span.TraceID)
 
 		res := ViewResult{Outputs: make(map[string]*evidence.Map, len(vout))}
 		for name, val := range vout {
@@ -494,22 +506,6 @@ func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string
 			res.Outputs[name] = m
 		}
 		results[vname] = res
-
-		if v.Provenance != nil {
-			rec := provenance.Record{
-				View:       vname,
-				Started:    started,
-				Duration:   time.Since(started),
-				InputSize:  in.Len(),
-				Outputs:    map[string]int{},
-				Conditions: v.Conditions(),
-				TraceID:    span.TraceID,
-			}
-			for name, m := range res.Outputs {
-				rec.Outputs[name] = m.Len()
-			}
-			v.Provenance.Record(rec)
-		}
 	}
 	return results, nil
 }

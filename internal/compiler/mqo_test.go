@@ -267,19 +267,31 @@ func TestMergedEnactmentBitIdentical(t *testing.T) {
 // outputs (markers, quarantine, fail-open routing included) identical to
 // independent enactment.
 func TestMergedDegradedEquivalence(t *testing.T) {
+	type view struct {
+		name      string
+		threshold int
+	}
+	// Each mode over a two-view set and over a plan of one, whose
+	// consolidated map is handed over without a clone.
+	sets := [][]view{
+		{{"deg-a", 20}, {"deg-b", 5}},
+		{{"deg-solo", 20}},
+	}
 	for _, m := range []DegradedMode{DegradeFailClosed, DegradeFailOpen, DegradeQuarantine} {
-		c := degradeCompiler(t, map[string]func(services.QualityService) services.QualityService{
-			"HR_score": alwaysFail,
-		})
-		c.Degraded = m
-		views := []*Compiled{
-			compileWith(t, c, thresholdViewXML("deg-a", 20)),
-			compileWith(t, c, thresholdViewXML("deg-b", 5)),
+		for _, set := range sets {
+			c := degradeCompiler(t, map[string]func(services.QualityService) services.QualityService{
+				"HR_score": alwaysFail,
+			})
+			c.Degraded = m
+			var views []*Compiled
+			for _, v := range set {
+				views = append(views, compileWith(t, c, thresholdViewXML(v.name, v.threshold)))
+			}
+			items := []evidence.Item{item(0), item(1), item(2), item(3), item(4)}
+			want := enactIndependent(t, views, items)
+			got := enactMerged(t, views, items)
+			diffEnactments(t, fmt.Sprintf("%s/%d views", m, len(views)), want, got)
 		}
-		items := []evidence.Item{item(0), item(1), item(2), item(3), item(4)}
-		want := enactIndependent(t, views, items)
-		got := enactMerged(t, views, items)
-		diffEnactments(t, m.String(), want, got)
 	}
 
 	// Mixed per-view modes: the failure is shared, the policy is not.
@@ -334,6 +346,20 @@ func TestMergedViewFailsAlone(t *testing.T) {
 		if canonical(t, vr.Outputs[oname]) != enc {
 			t.Errorf("healthy view output %q diverged", oname)
 		}
+	}
+
+	// A plan of one fails the same way: the DegradeOff view's result
+	// carries the service's own error.
+	solo, err := MergeViews(failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = solo.Enact(context.Background(), items)
+	if err != nil {
+		t.Fatalf("plan of one: whole-plan failure instead of a view error: %v", err)
+	}
+	if err := res["iso-failing"].Err; err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Errorf("plan of one: view error = %v, want the injected failure", err)
 	}
 }
 

@@ -263,14 +263,14 @@ func (ew *eventWindower) addToWindow(win *eWindow, it Item, t time.Time) {
 				continue
 			}
 			if old, ok := win.m.Get(it.ID, k).AsFloat(); ok {
-				winAcc(win, k).Remove(old)
+				winAcc(win.accs, k).Remove(old)
 			}
 		}
 	}
 	win.m.SetRow(it.ID, it.Evidence)
 	for k, v := range it.Evidence {
 		if f, ok := v.AsFloat(); ok {
-			winAcc(win, k).Add(f)
+			winAcc(win.accs, k).Add(f)
 		}
 	}
 	if fresh {
@@ -451,27 +451,25 @@ func sortWindows(wins []*eWindow) {
 	})
 }
 
-func winAcc(win *eWindow, k evidence.Key) *evidence.Accumulator {
-	a := win.accs[k]
+// winAcc returns the accumulator for k in accs, creating it on first use.
+func winAcc(accs map[evidence.Key]*evidence.Accumulator, k evidence.Key) *evidence.Accumulator {
+	a := accs[k]
 	if a == nil {
 		a = &evidence.Accumulator{}
-		win.accs[k] = a
+		accs[k] = a
 	}
 	return a
 }
 
-// rebuildAccsFrom derives fresh accumulators from a window map.
+// rebuildAccsFrom derives fresh accumulators from a window map — also
+// how a count windower resets the floating-point drift that unbounded
+// Add/Remove cycles accumulate.
 func rebuildAccsFrom(m *evidence.Map) map[evidence.Key]*evidence.Accumulator {
 	accs := make(map[evidence.Key]*evidence.Accumulator)
 	for _, id := range m.Items() {
 		for k, v := range m.Row(id) {
 			if f, ok := v.AsFloat(); ok {
-				a := accs[k]
-				if a == nil {
-					a = &evidence.Accumulator{}
-					accs[k] = a
-				}
-				a.Add(f)
+				winAcc(accs, k).Add(f)
 			}
 		}
 	}

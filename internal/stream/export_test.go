@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 
+	"qurator/internal/compiler"
 	"qurator/internal/evidence"
 )
 
@@ -39,4 +40,13 @@ func (f FiredJob) Late() bool { return f.j.late }
 // Enact runs one fired job through e's plan.
 func (e *Enactor) Enact(ctx context.Context, f FiredJob) ([]WindowResult, error) {
 	return e.enactBatch(ctx, *f.j)
+}
+
+// Plans returns every enacted view's abstract plan in emission order.
+func (e *Enactor) Plans() []compiler.Plan {
+	out := make([]compiler.Plan, len(e.views))
+	for i, v := range e.views {
+		out[i] = v.plan
+	}
+	return out
 }

@@ -112,6 +112,12 @@ func compilePaperView(t testing.TB) *compiler.Compiled {
 
 func compileViewXML(t testing.TB, xml string, annotator ops.Annotator) *compiler.Compiled {
 	t.Helper()
+	return compileWith(t, compileStack(t, annotator), xml)
+}
+
+// compileWith compiles a view XML against a prepared stack.
+func compileWith(t testing.TB, comp *compiler.Compiler, xml string) *compiler.Compiled {
+	t.Helper()
 	v, err := qvlang.Parse([]byte(xml))
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +126,7 @@ func compileViewXML(t testing.TB, xml string, annotator ops.Annotator) *compiler
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := compileStack(t, annotator).Compile(r)
+	c, err := comp.Compile(r)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

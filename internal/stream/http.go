@@ -167,11 +167,11 @@ func Handler(compile CompileFunc, opts ...HandlerOption) http.Handler {
 	})
 }
 
-// newEnactor builds the request's enactor: a plain single-view stream,
-// or — for ?views=a,b,c — a merged multi-view stream whose shared
-// prefixes enact once per window. The first view's <streaming>
-// declaration supplies windowing defaults the query left unset, and the
-// host's drift options are armed per request.
+// newEnactor builds the request's enactor over the merged plan of the
+// requested views: a plan of one for ?view=, or a multi-view plan whose
+// shared prefixes enact once per window for ?views=a,b,c. The first
+// view's <streaming> declaration supplies windowing defaults the query
+// left unset, and the host's drift options are armed per request.
 func newEnactor(compile CompileFunc, views []string, cfg Config, explicit map[string]bool, ho *handlerOptions) (*Enactor, error) {
 	compiledSet := make([]*compiler.Compiled, 0, len(views))
 	for _, v := range views {
@@ -190,9 +190,6 @@ func newEnactor(compile CompileFunc, views []string, cfg Config, explicit map[st
 			d.OnAlert = AutoTighten(compiledSet[0], ho.tightenAction, ho.tightenCond)
 		}
 		cfg.Drift = &d
-	}
-	if len(views) == 1 {
-		return New(compiledSet[0], cfg)
 	}
 	mv, err := compiler.MergeViews(compiledSet...)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"qurator/internal/compiler"
 	"qurator/internal/qvlang"
@@ -191,15 +190,11 @@ func TestHandlerAutoTightenOnDrift(t *testing.T) {
 	}
 	postStream(t, srv.URL+"/stream/enact?view=protein-id-quality&window=2", body.String())
 
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if compiled.Conditions()["filter top k score"] == "ScoreClass in q:high" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drift alert never tightened the filter (condition %q)",
-				compiled.Conditions()["filter top k score"])
-		}
-		time.Sleep(10 * time.Millisecond)
+	// OnAlert runs synchronously inside the detector's Observe, before Run
+	// closes its output, so the response has ended only after any
+	// tightening. The stream's plan of one reuses the view's action
+	// processors, so the member's condition is the one the plan enacts.
+	if got := compiled.Conditions()["filter top k score"]; got != "ScoreClass in q:high" {
+		t.Fatalf("drift alert never tightened the filter (condition %q)", got)
 	}
 }

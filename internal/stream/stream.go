@@ -2,11 +2,14 @@
 // unbounded data. The paper's enactment model is strictly batch: a view
 // runs once over a finished collection, and collection-scoped QAs (the
 // §5.1 avg±stddev classifier) assume the whole run is in hand. This
-// package lifts that restriction: items arrive one at a time, a
-// count-based windowing policy groups them into finite windows, each
-// window is enacted through the unmodified compiled workflow by a worker
-// pool, and per-item accept/reject/class decisions are emitted as soon as
-// their window resolves — while the input is still open.
+// package lifts that restriction: items arrive one at a time, a count-
+// or event-time windowing policy groups them into finite windows, each
+// window is enacted by a worker pool through a merged plan of the
+// stream's views (compiler.MultiView; a single view is a plan of one,
+// enacting exactly as its compiled workflow would), and per-item
+// accept/reject/class decisions are emitted as soon as their window
+// resolves — while the input is still open. A window result names its
+// view only when the plan has more than one member.
 //
 // The semantics is the windowed closure of batch enactment, with one law
 // tying the two together: enacting a stream through a single window equal
@@ -26,6 +29,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strconv"
 	"sync"
 	"time"
@@ -34,7 +38,6 @@ import (
 	"qurator/internal/evidence"
 	"qurator/internal/qcache"
 	"qurator/internal/telemetry"
-	"qurator/internal/workflow"
 )
 
 // Streaming metrics, labelled by view (workflow) name. Lag is measured
@@ -200,8 +203,9 @@ type Config struct {
 	// mid-window; by default the remainder is enacted as a partial window.
 	DropPartial bool
 	// ProcessorTimeout, when positive, bounds every processor invocation
-	// inside the compiled workflow (stuck annotators fail the window
-	// instead of wedging the stream).
+	// inside the stream's merged plan (stuck annotators fail the window
+	// instead of wedging the stream). The member views' own workflows
+	// are not touched.
 	ProcessorTimeout time.Duration
 	// SkipFailedWindows keeps the stream alive through window enactment
 	// failures: instead of cancelling the whole pipeline on the first
@@ -272,15 +276,14 @@ type WindowJournal interface {
 
 // Enactor runs one or more compiled quality views over unbounded item
 // sequences. One Enactor serves one stream at a time; the compiled views
-// it wraps may be shared with batch enactments when idle. A multi-view
-// enactor (NewMulti) feeds every window through the merged plan once —
+// it wraps may be shared with batch enactments when idle. Every window
+// is fed once through a merged plan (a single view is a plan of one) —
 // shared annotator/enrichment/QA prefixes run once per window — and
-// emits one WindowResult per member view per window.
+// yields one WindowResult per member view.
 type Enactor struct {
-	compiled *compiler.Compiled  // single-view mode (nil under NewMulti)
-	multi    *compiler.MultiView // multi-view mode (nil under New)
-	views    []streamView        // member views in emission order; len 1 under New
-	cfg      Config
+	plan  *compiler.MultiView
+	views []streamView // member views in emission order
+	cfg   Config
 }
 
 // streamView is one enacted view's identity and abstract plan — what the
@@ -288,6 +291,10 @@ type Enactor struct {
 type streamView struct {
 	name string
 	plan compiler.Plan
+	// label is the View its results carry: the view name in a merged
+	// stream, empty in a single-view stream, whose results stay
+	// unattributed.
+	label string
 }
 
 // EventTime reports whether the configuration selects event-time
@@ -342,32 +349,28 @@ func normalise(cfg Config) (Config, error) {
 }
 
 // New validates the configuration and prepares a streaming enactor for
-// the compiled view.
+// the compiled view: a merged plan of one, which enacts each window
+// exactly as the view itself would. The view's own workflow is left
+// untouched (ProcessorTimeout applies to the stream's plan only), so it
+// stays usable by batch enactments.
 func New(compiled *compiler.Compiled, cfg Config) (*Enactor, error) {
 	if compiled == nil {
 		return nil, fmt.Errorf("stream: nil compiled view")
 	}
-	cfg, err := normalise(cfg)
+	mv, err := compiler.MergeViews(compiled)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stream: %w", err)
 	}
-	if cfg.ProcessorTimeout > 0 {
-		compiled.Workflow.SetProcessorTimeout(cfg.ProcessorTimeout)
-	}
-	return &Enactor{
-		compiled: compiled,
-		views:    []streamView{{name: compiled.Name(), plan: compiled.Plan()}},
-		cfg:      cfg,
-	}, nil
+	return NewMulti(mv, cfg)
 }
 
 // NewMulti prepares a streaming enactor over a merged view set: each
 // window is enacted ONCE through the merged plan and every member view's
 // decisions are emitted as its own WindowResult — same Seq, view order,
-// distinguished by the View field. Journal keys stay per (view, window
-// content), identical to the keys N independent single-view streams
-// would use, so cluster failover replays/commits each view's emission
-// independently.
+// distinguished by the View field when the plan has more than one
+// member. Journal keys stay per (view, window content), identical to the
+// keys N independent single-view streams would use, so cluster failover
+// replays/commits each view's emission independently.
 func NewMulti(mv *compiler.MultiView, cfg Config) (*Enactor, error) {
 	if mv == nil {
 		return nil, fmt.Errorf("stream: nil merged view set")
@@ -379,37 +382,17 @@ func NewMulti(mv *compiler.MultiView, cfg Config) (*Enactor, error) {
 	if cfg.ProcessorTimeout > 0 {
 		mv.Workflow().SetProcessorTimeout(cfg.ProcessorTimeout)
 	}
-	e := &Enactor{multi: mv, cfg: cfg}
-	for _, v := range mv.Views() {
-		e.views = append(e.views, streamView{name: v.Name(), plan: v.Plan()})
+	members := mv.Views()
+	e := &Enactor{plan: mv, cfg: cfg}
+	for _, v := range members {
+		sv := streamView{name: v.Name(), plan: v.Plan()}
+		if len(members) > 1 {
+			sv.label = sv.name
+		}
+		e.views = append(e.views, sv)
 	}
 	return e, nil
 }
-
-// name labels the stream's telemetry: the view name, or the merged plan
-// name under NewMulti.
-func (e *Enactor) name() string {
-	if e.multi != nil {
-		return e.multi.Name()
-	}
-	return e.compiled.Name()
-}
-
-// Plan returns the abstract plan of the enacted view (the first member's
-// plan for a multi-view enactor; see Plans).
-func (e *Enactor) Plan() compiler.Plan { return e.views[0].plan }
-
-// Plans returns every enacted view's abstract plan in emission order.
-func (e *Enactor) Plans() []compiler.Plan {
-	out := make([]compiler.Plan, len(e.views))
-	for i, v := range e.views {
-		out[i] = v.plan
-	}
-	return out
-}
-
-// Config returns the normalised configuration in force.
-func (e *Enactor) Config() Config { return e.cfg }
 
 // Run consumes items from in until it closes or ctx is cancelled,
 // enacting windows and emitting their results on out in window order. It
@@ -418,7 +401,7 @@ func (e *Enactor) Config() Config { return e.cfg }
 // the context's error.
 func (e *Enactor) Run(ctx context.Context, in <-chan Item, out chan<- WindowResult) (err error) {
 	defer close(out)
-	view := e.name()
+	view := e.plan.Name()
 	// One root span covers the whole stream, so every window enactment
 	// below joins a single trace.
 	ctx, streamSpan := telemetry.StartSpan(ctx, "stream:"+view)
@@ -509,7 +492,7 @@ func (e *Enactor) Run(ctx context.Context, in <-chan Item, out chan<- WindowResu
 	}()
 
 	// Stage 2: worker pool. Each worker enacts whole windows through the
-	// compiled workflow; annotator and QA invocations of distinct windows
+	// merged plan; annotator and QA invocations of distinct windows
 	// therefore run fanned out across the pool, and within one window the
 	// workflow engine already runs independent processors concurrently.
 	var workerWG sync.WaitGroup
@@ -540,10 +523,7 @@ func (e *Enactor) Run(ctx context.Context, in <-chan Item, out chan<- WindowResu
 							res.Seq = j.seq
 							res.Replayed = true
 							res.firedAt = j.firedAt
-							res.View = ""
-							if e.multi != nil {
-								res.View = sv.name
-							}
+							res.View = sv.label
 							cached[i] = &res
 							hits++
 						}
@@ -603,7 +583,7 @@ func (e *Enactor) Run(ctx context.Context, in <-chan Item, out chan<- WindowResu
 					batch = batch[:0]
 					for _, sv := range e.views {
 						streamWindows.With(view, "skipped").Inc()
-						batch = append(batch, e.failedResult(sv, j, err))
+						batch = append(batch, failedResult(sv, j, err))
 					}
 				}
 				select {
@@ -708,23 +688,7 @@ func (e *Enactor) enactBatch(ctx context.Context, j windowJob) (_ []WindowResult
 	span.SetAttr("size", fmt.Sprint(len(j.items)))
 	defer func() { span.EndErr(err) }()
 
-	if e.multi == nil {
-		ports, err := e.compiled.Execute(ctx, workflow.Ports{compiler.PortDataSet: j.m})
-		if err != nil {
-			return nil, fmt.Errorf("stream: window %d: %w", j.seq, err)
-		}
-		outputs := make(map[string]*evidence.Map, len(ports))
-		for name, v := range ports {
-			m, ok := v.(*evidence.Map)
-			if !ok {
-				return nil, fmt.Errorf("stream: window %d: output %q is %T, not *evidence.Map", j.seq, name, v)
-			}
-			outputs[name] = m
-		}
-		return []WindowResult{deriveResult(e.views[0], outputs, j, j.stats)}, nil
-	}
-
-	res, eerr := e.multi.EnactMap(ctx, j.m)
+	res, eerr := e.plan.EnactMap(ctx, j.m)
 	if eerr != nil {
 		return nil, fmt.Errorf("stream: window %d: %w", j.seq, eerr)
 	}
@@ -735,21 +699,19 @@ func (e *Enactor) enactBatch(ctx context.Context, j windowJob) (_ []WindowResult
 			if !e.cfg.SkipFailedWindows {
 				return nil, fmt.Errorf("stream: window %d: %w", j.seq, vr.Err)
 			}
-			batch = append(batch, e.failedResult(sv, j, vr.Err))
+			batch = append(batch, failedResult(sv, j, vr.Err))
 			continue
 		}
 		// Each view derives its stats into its own copy: the windower's
 		// inline-evidence statistics are per window, not per view.
-		res := deriveResult(sv, vr.Outputs, j, copyStats(j.stats))
-		res.View = sv.name // single-view windows stay unattributed, as before
-		batch = append(batch, res)
+		batch = append(batch, deriveResult(sv, vr.Outputs, j, maps.Clone(j.stats)))
 	}
 	return batch, nil
 }
 
 // failedResult is the undecided WindowResult of one view whose window
 // enactment failed under SkipFailedWindows.
-func (e *Enactor) failedResult(sv streamView, j windowJob, err error) WindowResult {
+func failedResult(sv streamView, j windowJob, err error) WindowResult {
 	res := WindowResult{
 		Seq:       j.seq,
 		Size:      len(j.items),
@@ -757,6 +719,7 @@ func (e *Enactor) failedResult(sv streamView, j windowJob, err error) WindowResu
 		Failed:    true,
 		Error:     err.Error(),
 		Kind:      j.kind,
+		View:      sv.label,
 		Late:      j.late,
 		Decisions: []Decision{},
 		firedAt:   j.firedAt,
@@ -764,23 +727,7 @@ func (e *Enactor) failedResult(sv streamView, j windowJob, err error) WindowResu
 	if j.kind != "" {
 		res.Start, res.End = j.start.UnixMilli(), j.end.UnixMilli()
 	}
-	if e.multi != nil {
-		res.View = sv.name // single-view failed windows stay unattributed, as before
-	}
 	return res
-}
-
-// copyStats clones the windower's incremental statistics so sibling
-// views' tag statistics never land in one shared map.
-func copyStats(stats map[string]WindowStats) map[string]WindowStats {
-	if stats == nil {
-		return nil
-	}
-	out := make(map[string]WindowStats, len(stats))
-	for k, v := range stats {
-		out[k] = v
-	}
-	return out
 }
 
 // deriveResult projects one view's outputs of an enacted window into its
@@ -801,6 +748,7 @@ func deriveResult(sv streamView, outputs map[string]*evidence.Map, j windowJob, 
 		Seq:       j.seq,
 		Size:      len(j.items),
 		Partial:   j.partial,
+		View:      sv.label,
 		Kind:      j.kind,
 		Late:      j.late,
 		Decisions: Decide(j.decided(), outputs, cons, outputOrder, j.seq),

@@ -13,8 +13,10 @@ import (
 	"qurator/internal/evidence"
 	"qurator/internal/ontology"
 	"qurator/internal/ops"
+	"qurator/internal/qa"
 	"qurator/internal/qvlang"
 	"qurator/internal/rdf"
+	"qurator/internal/services"
 	"qurator/internal/stream"
 )
 
@@ -267,6 +269,35 @@ func TestEnactmentErrorCancelsRun(t *testing.T) {
 	}
 }
 
+// deadlineRefusing fails any invocation whose context carries a deadline,
+// so a leaked per-processor timeout shows as an enactment error.
+type deadlineRefusing struct{ services.QualityService }
+
+func (s deadlineRefusing) Invoke(ctx context.Context, req *services.Envelope) (*services.Envelope, error) {
+	if _, ok := ctx.Deadline(); ok {
+		return nil, errors.New("invoked under a deadline")
+	}
+	return s.QualityService.Invoke(ctx, req)
+}
+
+// TestNewLeavesCompiledViewUntouched: a stream's ProcessorTimeout bounds
+// the stream's own plan only. The compiled view stays shareable with
+// batch enactments, so a later batch Run of it carries no deadline.
+func TestNewLeavesCompiledViewUntouched(t *testing.T) {
+	comp := compileStack(t, identityAnnotator())
+	comp.Resolver.Local.Add(deadlineRefusing{&services.AssertionService{
+		ServiceName: "HR_score",
+		QA:          qa.NewHRScore(qvlang.TagKeyFor("HR")),
+	}})
+	c := compileWith(t, comp, qvlang.PaperViewXML)
+	if _, err := stream.New(c, stream.Config{Window: 2, ProcessorTimeout: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background(), []evidence.Item{hit(0), hit(1)}); err != nil {
+		t.Fatalf("batch Run after stream.New: %v", err)
+	}
+}
+
 func TestSkipFailedWindowsReportsAndContinues(t *testing.T) {
 	// Same poison as TestEnactmentErrorCancelsRun — items 4–7 blow up the
 	// annotator — but with SkipFailedWindows the stream survives: the
@@ -376,10 +407,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Config(); got.Parallelism != 1 || got.Slide != 4 {
-		t.Errorf("normalised config = %+v", got)
-	}
-	if p := e.Plan(); len(p.QAs) != 3 {
+	if p := e.Plans()[0]; len(p.QAs) != 3 {
 		t.Errorf("plan = %+v", p)
 	}
 }

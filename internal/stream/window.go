@@ -116,14 +116,14 @@ func (w *windower) push(it Item) ([]*windowJob, error) {
 				continue // SetRow won't overwrite with a Null
 			}
 			if old, ok := w.live.Get(it.ID, k).AsFloat(); ok {
-				w.acc(k).Remove(old)
+				winAcc(w.accs, k).Remove(old)
 			}
 		}
 	}
 	w.live.SetRow(it.ID, it.Evidence)
 	for k, v := range it.Evidence {
 		if f, ok := v.AsFloat(); ok {
-			w.acc(k).Add(f)
+			winAcc(w.accs, k).Add(f)
 		}
 	}
 	if fresh {
@@ -185,7 +185,7 @@ func (w *windower) fire(partial bool) *windowJob {
 		m:          w.live.Clone(),
 		decideFrom: len(items) - w.undecided,
 		partial:    partial,
-		stats:      w.snapshotStats(),
+		stats:      snapshotAccs(w.accs),
 		firedAt:    time.Now(),
 	}
 	w.seq++
@@ -221,7 +221,7 @@ func (w *windower) fire(partial bool) *windowJob {
 	}
 	w.fires++
 	if w.fires%accRebuildEvery == 0 || w.anyTainted() {
-		w.rebuildAccs()
+		w.accs = rebuildAccsFrom(w.live)
 	}
 	return j
 }
@@ -262,15 +262,6 @@ func detach(j *windowJob) *windowJob {
 	return &c
 }
 
-func (w *windower) acc(k evidence.Key) *evidence.Accumulator {
-	a := w.accs[k]
-	if a == nil {
-		a = &evidence.Accumulator{}
-		w.accs[k] = a
-	}
-	return a
-}
-
 func (w *windower) anyTainted() bool {
 	for _, acc := range w.accs {
 		if acc.Tainted() {
@@ -278,37 +269,6 @@ func (w *windower) anyTainted() bool {
 		}
 	}
 	return false
-}
-
-// rebuildAccs re-derives every accumulator from the live window, resetting
-// the floating-point drift that unbounded Add/Remove cycles accumulate.
-func (w *windower) rebuildAccs() {
-	w.accs = make(map[evidence.Key]*evidence.Accumulator, len(w.accs))
-	for _, it := range w.live.Items() {
-		for k, v := range w.live.Row(it) {
-			if f, ok := v.AsFloat(); ok {
-				w.acc(k).Add(f)
-			}
-		}
-	}
-}
-
-// snapshotStats freezes the inline-evidence accumulators into the job.
-func (w *windower) snapshotStats() map[string]WindowStats {
-	var out map[string]WindowStats
-	for k, acc := range w.accs {
-		if acc.N() == 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]WindowStats, len(w.accs))
-		}
-		lo, hi := acc.Thresholds()
-		out[k.Value()] = WindowStats{
-			N: acc.N(), Mean: acc.Mean(), StdDev: acc.StdDev(), Lo: lo, Hi: hi,
-		}
-	}
-	return out
 }
 
 // recomputeStats derives window statistics by a full scan of the window
