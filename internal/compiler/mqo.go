@@ -131,7 +131,6 @@ type memberView struct {
 	view   *Compiled
 	prefix string            // output namespace: "<view name>/"
 	procs  map[string]string // merged quality-proc name → this view's own name
-	cons   string            // merged consolidation feeding this view's actions
 }
 
 // MultiView is N compiled views merged into one enactable plan: shared
@@ -145,9 +144,6 @@ type MultiView struct {
 	name    string
 	wf      *workflow.Workflow
 	members []*memberView
-	// consReaders counts the member views reading each merged
-	// consolidation; a shared one is cloned per view at enactment.
-	consReaders map[string]int
 
 	sharedPrefixes int // quality-service processors used by ≥ 2 views
 	mergedQuality  int // distinct quality-service processors in the plan
@@ -222,10 +218,7 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 		return nil, err
 	}
 
-	mv := &MultiView{
-		name:        fmt.Sprintf("mqo:%d@%s", len(views), nameKey.Sum()[:10]),
-		consReaders: map[string]int{},
-	}
+	mv := &MultiView{name: fmt.Sprintf("mqo:%d@%s", len(views), nameKey.Sum()[:10])}
 	if len(views) == 1 {
 		mv.name = views[0].Workflow.Name()
 	}
@@ -310,8 +303,6 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 			}
 			shared[fp.cons] = cm
 		}
-		member.cons = cm
-		mv.consReaders[cm]++
 		b.bindOutput(member.prefix+OutputAnnotations, cm, PortAnnotations)
 
 		// Actions are never shared: their conditions are per-view and
@@ -487,13 +478,10 @@ func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string
 		for _, name := range v.Outputs {
 			vout[name] = out[member.prefix+name]
 		}
-		// Degraded routing writes markers into the consolidated map, so a
-		// view whose consolidation siblings also read gets its own copy.
+		// Degraded routing writes markers into the consolidated map, which
+		// sibling views may share: each view gets its own (O(1)) clone.
 		if ann, ok := out[member.prefix+OutputAnnotations].(*evidence.Map); ok {
-			if mv.consReaders[member.cons] > 1 {
-				ann = ann.Clone()
-			}
-			vout[OutputAnnotations] = ann
+			vout[OutputAnnotations] = ann.Clone()
 		}
 		v.finish(vout, vfail, mode, in.Len(), started, span.TraceID)
 

@@ -415,6 +415,47 @@ func TestTwoViewsShareOneCacheEntry(t *testing.T) {
 	}
 }
 
+// TestMergedViewsOwnTheirAnnotations: two views reading one
+// merged consolidation each get an annotation map of their own. A cell
+// written into one view's map reaches neither its sibling's map nor the
+// results of a later enactment (served from the same response cache).
+func TestMergedViewsOwnTheirAnnotations(t *testing.T) {
+	c := testCompiler(t)
+	c.Cache = qcache.New(qcache.Options{Name: "t-mqo-own"})
+	a := compileWith(t, c, thresholdViewXML("own-a", 20))
+	b := compileWith(t, c, thresholdViewXML("own-b", 10))
+	mv, err := MergeViews(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []evidence.Item{item(0), item(1), item(2), item(3)}
+	first, err := mv.Enact(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	annA := first["own-a"].Outputs[OutputAnnotations]
+	annB := first["own-b"].Outputs[OutputAnnotations]
+	want := canonical(t, annB)
+	if canonical(t, annA) != want {
+		t.Fatal("views sharing one consolidation should see the same annotations")
+	}
+
+	marker := ontology.Q("OwnershipMarker")
+	annA.Set(item(0), marker, evidence.Float(1))
+	if canonical(t, annB) != want {
+		t.Error("a write into view own-a's annotations reached view own-b's")
+	}
+	second, err := mv.Enact(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vr := range second {
+		if got := canonical(t, vr.Outputs[OutputAnnotations]); got != want {
+			t.Errorf("view %q: a later enactment saw the earlier write", name)
+		}
+	}
+}
+
 // TestMergedConditionEditsPropagate: the merged plan reuses member action
 // instances, so the paper's explore loop (edit a condition, re-run) works
 // without re-merging.

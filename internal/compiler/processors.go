@@ -127,13 +127,22 @@ func (p *consolidateProcessor) InputPorts() []string  { return append([]string(n
 func (p *consolidateProcessor) OutputPorts() []string { return []string{PortAnnotations} }
 
 func (p *consolidateProcessor) Execute(_ context.Context, in workflow.Ports) (workflow.Ports, error) {
-	merged := evidence.NewMap()
+	var merged *evidence.Map
 	for _, port := range p.inputs {
 		m, ok := in[port].(*evidence.Map)
 		if !ok {
 			return nil, fmt.Errorf("compiler: consolidate expects *evidence.Map on %q, got %T", port, in[port])
 		}
-		merged.Merge(m)
+		// Starting from a clone of the first input, the merged map copies
+		// its storage once, at the first cell another QA adds.
+		if merged == nil {
+			merged = m.Clone()
+		} else {
+			merged.Merge(m)
+		}
+	}
+	if merged == nil {
+		merged = evidence.NewMap()
 	}
 	return workflow.Ports{PortAnnotations: merged}, nil
 }

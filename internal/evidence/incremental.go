@@ -1,6 +1,10 @@
 package evidence
 
-import "math"
+import (
+	"math"
+	"slices"
+	"sync/atomic"
+)
 
 // This file holds the incremental primitives the streaming enactor
 // (internal/stream) builds on: in-place item removal and row append on a
@@ -18,9 +22,10 @@ func (m *Map) RemoveItem(it Item) bool {
 	if !ok {
 		return false
 	}
-	m.order = append(m.order[:pos], m.order[pos+1:]...)
+	m.own()
+	m.order = slices.Delete(m.order, pos, pos+1)
+	m.rows = slices.Delete(m.rows, pos, pos+1)
 	delete(m.index, it)
-	delete(m.values, it)
 	for i := pos; i < len(m.order); i++ {
 		m.index[m.order[i]] = i
 	}
@@ -40,11 +45,21 @@ func (m *Map) RemoveFirst(n int) []Item {
 		n = len(m.order)
 	}
 	removed := append([]Item(nil), m.order[:n]...)
-	for _, it := range removed {
-		delete(m.index, it)
-		delete(m.values, it)
+	if m.shared.Load() {
+		// Copy only the surviving suffix: a tumbling window evicts every
+		// item, and copying rows just to drop them would be wasted work.
+		size := len(m.order)
+		m.order = append(make([]Item, 0, size), m.order[n:]...)
+		m.rows = packRows(m.rows[n:], size)
+		m.index = make(map[Item]int, size)
+		m.shared = new(atomic.Bool)
+	} else {
+		for _, it := range removed {
+			delete(m.index, it)
+		}
+		m.order = slices.Delete(m.order, 0, n)
+		m.rows = slices.Delete(m.rows, 0, n)
 	}
-	m.order = append(m.order[:0], m.order[n:]...)
 	for i, it := range m.order {
 		m.index[it] = i
 	}
@@ -55,7 +70,9 @@ func (m *Map) RemoveFirst(n int) []Item {
 // streaming append: a live window Amap grows one arriving item at a time
 // without rebuilding. Null values are skipped.
 func (m *Map) SetRow(it Item, row map[Key]Value) {
-	m.AddItem(it)
+	if m.AddItem(it) {
+		m.rows[len(m.rows)-1] = make([]cell, 0, len(row)+1) // room for a tag
+	}
 	for k, v := range row {
 		if v.IsNull() {
 			continue

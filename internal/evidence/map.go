@@ -6,8 +6,9 @@ import (
 	"io"
 	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
+	"sync/atomic"
 
 	"qurator/internal/rdf"
 )
@@ -26,12 +27,33 @@ type Key = rdf.Term
 // is significant — data sets in the running example are ranked protein
 // identification lists — and is preserved by all operations.
 //
+// Each item's evidence row is a short slice of (key, value) cells held at
+// the item's position, so an access costs one hash lookup (the item) and
+// a scan of a few cells. Clone is O(1) and copy-on-write: a clone shares
+// the original's storage until either side first writes, and that write
+// copies the storage once (the same ownership model as rdf.Graph's
+// Clone). Read-only hops therefore copy nothing, and a writer copies only
+// what it holds.
+//
 // Map is not safe for concurrent mutation; operators receive and return
-// maps by value-semantics methods (Clone, Project, Merge).
+// maps by value-semantics methods (Clone, Project, Merge). Cloning one
+// map, and reading it, from several goroutines at once is safe.
 type Map struct {
-	order  []Item
-	index  map[Item]int
-	values map[Item]map[Key]Value
+	order []Item
+	index map[Item]int
+	rows  [][]cell // rows[i] is the evidence row of order[i]
+	// shared is set once the storage above is reachable from another
+	// handle (a clone, or the map a clone was taken from); every handle
+	// over one storage points at the same flag. Writers copy the storage
+	// first while it is set, then take a fresh flag. It is atomic because
+	// a cached map is cloned from several goroutines at once.
+	shared *atomic.Bool
+}
+
+// cell is one (key, value) entry of an item's evidence row.
+type cell struct {
+	k Key
+	v Value
 }
 
 // NewMap returns an annotation map over the given items, in order.
@@ -39,12 +61,54 @@ type Map struct {
 func NewMap(items ...Item) *Map {
 	m := &Map{
 		index:  make(map[Item]int, len(items)),
-		values: make(map[Item]map[Key]Value, len(items)),
+		rows:   make([][]cell, 0, len(items)),
+		shared: new(atomic.Bool),
 	}
 	for _, it := range items {
 		m.AddItem(it)
 	}
 	return m
+}
+
+// own makes m the only handle over its storage, copying the storage if a
+// clone shares it. Every writer calls it before its first change.
+func (m *Map) own() {
+	if !m.shared.Load() {
+		return
+	}
+	m.order = append([]Item(nil), m.order...)
+	m.index = maps.Clone(m.index)
+	m.rows = packRows(m.rows, len(m.rows))
+	m.shared = new(atomic.Bool)
+}
+
+// packRows copies rows into one backing array, leaving each row room for
+// one more cell so that a tag written after the copy does not regrow it.
+// The returned slice has capacity for at least size rows.
+func packRows(rows [][]cell, size int) [][]cell {
+	n := 0
+	for _, r := range rows {
+		n += len(r) + 1
+	}
+	buf := make([]cell, n)
+	out := make([][]cell, len(rows), max(size, len(rows)))
+	off := 0
+	for i, r := range rows {
+		copy(buf[off:], r)
+		out[i] = buf[off : off+len(r) : off+len(r)+1]
+		off += len(r) + 1
+	}
+	return out
+}
+
+// find returns the position of key in row, or -1.
+func find(row []cell, key Key) int {
+	for j := range row {
+		if row[j].k == key {
+			return j
+		}
+	}
+	return -1
 }
 
 // AddItem appends an item (no-op if present). It reports whether the item
@@ -53,8 +117,10 @@ func (m *Map) AddItem(it Item) bool {
 	if _, ok := m.index[it]; ok {
 		return false
 	}
+	m.own()
 	m.index[it] = len(m.order)
 	m.order = append(m.order, it)
+	m.rows = append(m.rows, nil)
 	return true
 }
 
@@ -83,31 +149,47 @@ func (m *Map) ItemAt(i int) Item { return m.order[i] }
 func (m *Map) Len() int { return len(m.order) }
 
 // Set associates an evidence value with (item, key), adding the item to
-// the data set if absent. Setting Null removes the entry.
+// the data set if absent. Setting Null removes the entry. A Set that
+// leaves the map unchanged (the cell already holds a bit-identical value)
+// copies nothing, even on a clone.
 func (m *Map) Set(it Item, key Key, v Value) {
-	m.AddItem(it)
-	if v.IsNull() {
-		if row, ok := m.values[it]; ok {
-			delete(row, key)
-			if len(row) == 0 {
-				delete(m.values, it)
-			}
-		}
+	i, ok := m.index[it]
+	if !ok {
+		m.AddItem(it)
+		i = len(m.order) - 1
+	}
+	j := find(m.rows[i], key)
+	switch {
+	case j < 0 && v.IsNull():
+		return
+	case j >= 0 && identical(m.rows[i][j].v, v):
 		return
 	}
-	row, ok := m.values[it]
-	if !ok {
-		row = make(map[Key]Value)
-		m.values[it] = row
+	m.own() // positions survive the copy, so i and j stay valid
+	row := m.rows[i]
+	switch {
+	case j < 0:
+		m.rows[i] = append(row, cell{key, v})
+	case v.IsNull():
+		m.rows[i] = slices.Delete(row, j, j+1)
+	default:
+		row[j].v = v
 	}
-	row[key] = v
+}
+
+// identical reports whether two values are the same bit for bit. Floats
+// compare by their bits, so −0 and +0 differ (WriteCanonical tells them
+// apart) and a NaN equals itself.
+func identical(a, b Value) bool {
+	return a.kind == b.kind && math.Float64bits(a.f) == math.Float64bits(b.f) &&
+		a.i == b.i && a.s == b.s && a.b == b.b && a.t == b.t
 }
 
 // Get returns the evidence value for (item, key); Null when absent.
 func (m *Map) Get(it Item, key Key) Value {
-	if row, ok := m.values[it]; ok {
-		if v, ok := row[key]; ok {
-			return v
+	if i, ok := m.index[it]; ok {
+		if j := find(m.rows[i], key); j >= 0 {
+			return m.rows[i][j].v
 		}
 	}
 	return Null
@@ -122,24 +204,28 @@ func (m *Map) Has(it Item, key Key) bool {
 // value anywhere in the map.
 func (m *Map) Keys() []Key {
 	seen := map[Key]struct{}{}
-	for _, row := range m.values {
-		for k := range row {
-			seen[k] = struct{}{}
+	for _, row := range m.rows {
+		for j := range row {
+			seen[row[j].k] = struct{}{}
 		}
 	}
 	out := make([]Key, 0, len(seen))
 	for k := range seen {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return rdf.CompareTerms(out[i], out[j]) < 0 })
+	slices.SortFunc(out, rdf.CompareTerms)
 	return out
 }
 
 // Row returns a copy of the item's (key, value) entries.
 func (m *Map) Row(it Item) map[Key]Value {
-	out := make(map[Key]Value, len(m.values[it]))
-	for k, v := range m.values[it] {
-		out[k] = v
+	var row []cell
+	if i, ok := m.index[it]; ok {
+		row = m.rows[i]
+	}
+	out := make(map[Key]Value, len(row))
+	for j := range row {
+		out[row[j].k] = row[j].v
 	}
 	return out
 }
@@ -159,19 +245,15 @@ func (m *Map) Class(it Item, model rdf.Term) rdf.Term {
 	return rdf.Term{}
 }
 
-// Clone returns a deep copy. It copies the order, index and rows in bulk
-// (values are immutable, so copying them shallowly is deep enough): this
-// is the per-hop cost of every in-process service call.
+// Clone returns a copy that evolves independently of m. It is O(1): the
+// copy shares m's storage, and whichever of the two first writes copies
+// the storage then (once per side), so a clone that is only read never
+// copies at all. Cloning the same map from several goroutines at once is
+// safe.
 func (m *Map) Clone() *Map {
-	out := &Map{
-		order:  append([]Item(nil), m.order...),
-		index:  maps.Clone(m.index),
-		values: make(map[Item]map[Key]Value, len(m.values)),
-	}
-	for it, row := range m.values {
-		out.values[it] = maps.Clone(row)
-	}
-	return out
+	m.shared.Store(true)
+	c := *m
+	return &c
 }
 
 // Project returns a new map restricted to the given items (in the given
@@ -179,11 +261,12 @@ func (m *Map) Clone() *Map {
 // included with no evidence.
 func (m *Map) Project(items []Item) *Map {
 	out := NewMap(items...)
-	for _, it := range items {
-		for k, v := range m.values[it] {
-			out.Set(it, k, v)
+	for i, it := range out.order {
+		if j, ok := m.index[it]; ok {
+			out.rows[i] = m.rows[j]
 		}
 	}
+	out.rows = packRows(out.rows, len(out.rows))
 	return out
 }
 
@@ -202,12 +285,14 @@ func (m *Map) Filter(keep func(Item) bool) *Map {
 // Merge copies every item and evidence entry of other into m, appending
 // unseen items after m's existing ones. On key conflicts, other wins —
 // this implements the "consolidate assertions" step the quality-view
-// compiler inserts after multiple QAs (paper §6.1).
+// compiler inserts after multiple QAs (paper §6.1). Cells m already holds
+// bit-identically are skipped, so merging a map's own clone copies
+// nothing.
 func (m *Map) Merge(other *Map) {
-	for _, it := range other.order {
+	for i, it := range other.order {
 		m.AddItem(it)
-		for k, v := range other.values[it] {
-			m.Set(it, k, v)
+		for _, c := range other.rows[i] {
+			m.Set(it, c.k, c.v)
 		}
 	}
 }
@@ -279,25 +364,21 @@ func (m *Map) WriteCanonical(w io.Writer) error {
 			return err
 		}
 	}
-	for _, it := range m.order {
-		row := m.values[it]
-		keys := make([]Key, 0, len(row))
-		for k := range row {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return rdf.CompareTerms(keys[i], keys[j]) < 0 })
-		if err := writeInt(uint64(len(keys))); err != nil {
+	var sorted []cell
+	for _, row := range m.rows {
+		sorted = append(sorted[:0], row...)
+		slices.SortFunc(sorted, func(a, b cell) int { return rdf.CompareTerms(a.k, b.k) })
+		if err := writeInt(uint64(len(sorted))); err != nil {
 			return err
 		}
-		for _, k := range keys {
-			v := row[k]
-			if err := writeBytes(k.String()); err != nil {
+		for _, c := range sorted {
+			if err := writeBytes(c.k.String()); err != nil {
 				return err
 			}
-			if err := writeBytes(v.Kind().String()); err != nil {
+			if err := writeBytes(c.v.Kind().String()); err != nil {
 				return err
 			}
-			if err := writeBytes(v.String()); err != nil {
+			if err := writeBytes(c.v.String()); err != nil {
 				return err
 			}
 		}
@@ -308,10 +389,12 @@ func (m *Map) WriteCanonical(w io.Writer) error {
 // FloatColumn returns the values of key for every item that has a numeric
 // value, in item order, together with the owning items.
 func (m *Map) FloatColumn(key Key) (items []Item, vals []float64) {
-	for _, it := range m.order {
-		if f, ok := m.Get(it, key).AsFloat(); ok {
-			items = append(items, it)
-			vals = append(vals, f)
+	for i, row := range m.rows {
+		if j := find(row, key); j >= 0 {
+			if f, ok := row[j].v.AsFloat(); ok {
+				items = append(items, m.order[i])
+				vals = append(vals, f)
+			}
 		}
 	}
 	return items, vals

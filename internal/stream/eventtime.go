@@ -301,7 +301,7 @@ func (ew *eventWindower) supersede(fw *eWindow, it Item, t time.Time) *windowJob
 	fw.gen++
 	j := &windowJob{
 		seq:   ew.seq,
-		items: append([]evidence.Item(nil), fw.m.Items()...),
+		items: fw.m.Items(),
 		m:     fw.m.Clone(),
 		// Copied into a non-nil slice: a nil decide set would read as
 		// items[decideFrom:] and re-decide the whole window.
@@ -362,7 +362,7 @@ func (ew *eventWindower) advance(jobs *[]*windowJob) {
 // here; complete windows are retained for late data when the lateness
 // bound and policy allow it.
 func (ew *eventWindower) fire(win *eWindow, partial bool) *windowJob {
-	items := append([]evidence.Item(nil), win.m.Items()...)
+	items := win.m.Items()
 	decide := make([]evidence.Item, 0, len(items))
 	for _, id := range items {
 		if !ew.decided[id] {

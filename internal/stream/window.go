@@ -178,7 +178,7 @@ func (w *windower) lateArrival(fw *firedWindow, it Item) []*windowJob {
 
 // fire snapshots the live window into a job and slides it forward.
 func (w *windower) fire(partial bool) *windowJob {
-	items := append([]evidence.Item(nil), w.live.Items()...)
+	items := w.live.Items()
 	j := &windowJob{
 		seq:        w.seq,
 		items:      items,
