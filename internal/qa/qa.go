@@ -23,6 +23,7 @@ import (
 
 // ScoreFunc computes a score from the evidence values of one item. Inputs
 // are keyed by evidence type; missing evidence arrives as Null values.
+// The map is reused for the next item, so a ScoreFunc must not retain it.
 type ScoreFunc func(in map[rdf.Term]evidence.Value) (float64, error)
 
 // Score is a generic scoring QA: it applies a ScoreFunc to each item and
@@ -57,8 +58,9 @@ func (s *Score) Assert(m *evidence.Map) error {
 	if s.Fn == nil {
 		return fmt.Errorf("qa: score %v has no function", s.ClassIRI)
 	}
-	for _, item := range m.Items() {
-		in := make(map[rdf.Term]evidence.Value, len(s.Inputs))
+	in := make(map[rdf.Term]evidence.Value, len(s.Inputs))
+	for i := 0; i < m.Len(); i++ {
+		item := m.ItemAt(i)
 		for _, typ := range s.Inputs {
 			in[typ] = m.Get(item, typ)
 		}
@@ -207,9 +209,10 @@ func (c *StatClassifier) Assert(m *evidence.Map) error {
 		item evidence.Item
 		s    float64
 	}
-	var rows []scored
-	for _, item := range m.Items() {
-		in := make(map[rdf.Term]evidence.Value, len(c.Inputs))
+	rows := make([]scored, 0, m.Len())
+	in := make(map[rdf.Term]evidence.Value, len(c.Inputs))
+	for i := 0; i < m.Len(); i++ {
+		item := m.ItemAt(i)
 		for _, typ := range c.Inputs {
 			in[typ] = m.Get(item, typ)
 		}
@@ -250,9 +253,10 @@ func (c *StatClassifier) Assert(m *evidence.Map) error {
 // threshold-exploration example and by actions that filter on
 // "score > avg + stddev" (the Figure 7 experiment).
 func (c *StatClassifier) Thresholds(m *evidence.Map) (lo, hi float64, err error) {
-	var vals []float64
-	for _, item := range m.Items() {
-		in := make(map[rdf.Term]evidence.Value, len(c.Inputs))
+	vals := make([]float64, 0, m.Len())
+	in := make(map[rdf.Term]evidence.Value, len(c.Inputs))
+	for i := 0; i < m.Len(); i++ {
+		item := m.ItemAt(i)
 		for _, typ := range c.Inputs {
 			in[typ] = m.Get(item, typ)
 		}

@@ -100,6 +100,23 @@ func TestScoreAssertWritesTag(t *testing.T) {
 	}
 }
 
+// Assert reuses one input map for every item, so its allocations do not
+// grow with the number of items scored.
+func TestScoreAssertAllocsIndependentOfItems(t *testing.T) {
+	s := NewUniversalPIScore(ontology.Q("tag/HR_MC"))
+	allocs := func(n int) float64 {
+		m := imprintMap(n)
+		return testing.AllocsPerRun(20, func() {
+			if err := s.Assert(m.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(128); large > small+1 {
+		t.Errorf("Assert allocs: %v at 128 items vs %v at 64, want at most one more", large, small)
+	}
+}
+
 func TestScoreSkipMissingVsFail(t *testing.T) {
 	m := evidence.NewMap(item(0))
 	m.Set(item(0), ontology.HitRatio, evidence.Float(0.5))
