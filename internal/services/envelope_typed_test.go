@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -323,4 +324,33 @@ func TestEnvelopeConcurrentReads(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// A wire annotation map's size is set by the client: decoding one whose
+// every key holds a single item's value must cost about what its entries
+// cost, not a value slot per item for every key (n·n·104 bytes here).
+func TestDecodeSparseKeysCostTheirEntries(t *testing.T) {
+	const n = 1000
+	var e Envelope
+	for i := 0; i < n; i++ {
+		uri := fmt.Sprintf("urn:lsid:test.org:item:%d", i)
+		e.DataSet.Items = append(e.DataSet.Items, ItemRef{URI: uri})
+		e.Annotations.Entries = append(e.Annotations.Entries, Entry{
+			Item: uri, Key: fmt.Sprintf("urn:key:%d", i), Kind: "float", Value: "0.5",
+		})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := e.Map()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(m.Keys()); got != n {
+		t.Fatalf("decoded %d keys, want %d", got, n)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 4*n*1024 {
+		t.Errorf("decoding %d items with one single-item key each: %d bytes, want ≤ %d", n, b, 4*n*1024)
+	}
 }
