@@ -423,14 +423,6 @@ func (m *Map) write(j, i int, v Value) {
 	}
 }
 
-// identical reports whether two values are the same bit for bit. Floats
-// compare by their bits, so −0 and +0 differ (WriteCanonical tells them
-// apart) and a NaN equals itself.
-func identical(a, b Value) bool {
-	return a.kind == b.kind && math.Float64bits(a.f) == math.Float64bits(b.f) &&
-		a.i == b.i && a.s == b.s && a.b == b.b && a.t == b.t
-}
-
 // Get returns the evidence value for (item, key); Null when absent.
 func (m *Map) Get(it Item, key Key) Value {
 	if i, ok := m.index[it]; ok {
