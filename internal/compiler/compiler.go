@@ -547,12 +547,6 @@ func (c *Compiled) finish(out workflow.Ports, failures []Failure, mode DegradedM
 	c.Provenance.Record(rec)
 }
 
-// FilterOutput returns the canonical output name of a filter action.
-func FilterOutput(action string) string { return outputName(action, PortAccepted) }
-
-// SplitOutput returns the canonical output name of a splitter branch.
-func SplitOutput(action, branch string) string { return outputName(action, branch) }
-
 // Describe renders the compiled workflow structure (processors + links)
 // for inspection — what cmd/qvc prints.
 func (c *Compiled) Describe() string {

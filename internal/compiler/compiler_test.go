@@ -173,7 +173,7 @@ func TestCompileStructureFollowsSection61Rules(t *testing.T) {
 	if err := wf.Validate(); err != nil {
 		t.Errorf("compiled workflow invalid: %v", err)
 	}
-	if len(c.Outputs) != 1 || c.Outputs[0] != FilterOutput("filter top k score") {
+	if len(c.Outputs) != 1 || c.Outputs[0] != outputName("filter top k score", PortAccepted) {
 		t.Errorf("outputs = %v", c.Outputs)
 	}
 	// Describe renders something useful.
@@ -192,7 +192,7 @@ func TestCompiledRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	accepted := out[FilterOutput("filter top k score")]
+	accepted := out[outputName("filter top k score", PortAccepted)]
 	if accepted == nil {
 		t.Fatalf("no accepted output; outputs = %v", keysOf(out))
 	}
@@ -233,7 +233,7 @@ func TestConditionEditingBetweenRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := first[FilterOutput("filter top k score")], second[FilterOutput("filter top k score")]
+	a, b := first[outputName("filter top k score", PortAccepted)], second[outputName("filter top k score", PortAccepted)]
 	if !(b.Len() > a.Len()) {
 		t.Errorf("loosened condition kept %d ≤ %d", b.Len(), a.Len())
 	}
@@ -289,9 +289,9 @@ func TestCompileSplitterView(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	keep := out[SplitOutput("route", "keep")]
-	review := out[SplitOutput("route", "review")]
-	def := out[SplitOutput("route", PortDefault)]
+	keep := out[outputName("route", "keep")]
+	review := out[outputName("route", "review")]
+	def := out[outputName("route", PortDefault)]
 	if keep == nil || review == nil || def == nil {
 		t.Fatalf("missing split outputs: %v", keysOf(out))
 	}
@@ -343,8 +343,8 @@ func TestRunRecordsProvenance(t *testing.T) {
 	if last.View != "protein-id-quality" || last.InputSize != 6 {
 		t.Errorf("last run = %+v", last)
 	}
-	if got := last.Outputs[FilterOutput("filter top k score")]; got != out[FilterOutput("filter top k score")].Len() {
-		t.Errorf("recorded output size %d != actual %d", got, out[FilterOutput("filter top k score")].Len())
+	if got := last.Outputs[outputName("filter top k score", PortAccepted)]; got != out[outputName("filter top k score", PortAccepted)].Len() {
+		t.Errorf("recorded output size %d != actual %d", got, out[outputName("filter top k score", PortAccepted)].Len())
 	}
 	// The edited condition is what the record carries.
 	if cond := last.Conditions["filter top k score"]; !strings.Contains(cond, "q:high") ||
@@ -419,7 +419,7 @@ func TestEmbedIntoHostWorkflow(t *testing.T) {
 		Adapters: []AdapterDecl{{Name: "AccessionListAdapter"}},
 		Connectors: []ConnectorDecl{
 			{From: "ProteinIdentification", FromPort: "hits", To: qv.Workflow.Name(), ToPort: PortDataSet, Via: "AccessionListAdapter"},
-			{From: qv.Workflow.Name(), FromPort: FilterOutput("filter top k score"), To: "GOARetrieval", ToPort: "proteins"},
+			{From: qv.Workflow.Name(), FromPort: outputName("filter top k score", PortAccepted), To: "GOARetrieval", ToPort: "proteins"},
 		},
 	}
 	err := Embed(host, qv, desc, map[string]workflow.Processor{"AccessionListAdapter": adapter})

@@ -144,7 +144,7 @@ func TestDegradeFailClosedRejectsAndMarks(t *testing.T) {
 	}
 	// The filter condition needs HR_MC, which never arrived: every item
 	// is rejected.
-	if got := out[FilterOutput("filter top k score")].Len(); got != 0 {
+	if got := out[outputName("filter top k score", PortAccepted)].Len(); got != 0 {
 		t.Errorf("fail-closed accepted %d items, want 0", got)
 	}
 	// Every item is marked degraded on the consolidated output.
@@ -183,7 +183,7 @@ func TestDegradeFailOpenAcceptsUndecided(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fail-open run must complete: %v", err)
 	}
-	accepted := out[FilterOutput("filter top k score")]
+	accepted := out[outputName("filter top k score", PortAccepted)]
 	if accepted.Len() != 10 {
 		t.Fatalf("fail-open accepted %d items, want all 10", accepted.Len())
 	}
@@ -217,7 +217,7 @@ func TestDegradeQuarantineRoutesSplitterUndecided(t *testing.T) {
 	// The classifier never ran, so the "keep" branch (ScoreClass ...)
 	// decides nobody; "review" (hr > 0.5) still works on the enrichment
 	// evidence and claims the strong (even-index) items.
-	review := out[SplitOutput("route", "review")]
+	review := out[outputName("route", "review")]
 	if review.Len() != 4 {
 		t.Errorf("review branch has %d items, want 4", review.Len())
 	}
@@ -234,7 +234,7 @@ func TestDegradeQuarantineRoutesSplitterUndecided(t *testing.T) {
 		}
 	}
 	// Quarantined items are parked, not classified "none of the above".
-	if def := out[SplitOutput("route", PortDefault)]; def.Len() != 0 {
+	if def := out[outputName("route", PortDefault)]; def.Len() != 0 {
 		t.Errorf("default port has %d items, want 0 (all moved to quarantine)", def.Len())
 	}
 }
@@ -275,7 +275,7 @@ func TestCompilerRetryRecoversTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry should recover: %v", err)
 	}
-	if got := out[FilterOutput("filter top k score")].Len(); got != 5 {
+	if got := out[outputName("filter top k score", PortAccepted)].Len(); got != 5 {
 		t.Errorf("accepted %d items, want the usual 5", got)
 	}
 	if flaky.callCount() != 3 {
@@ -316,7 +316,7 @@ func TestCompilerTimeoutBoundsHangingService(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded run must complete: %v", err)
 	}
-	if got := out[FilterOutput("filter top k score")].Len(); got != 0 {
+	if got := out[outputName("filter top k score", PortAccepted)].Len(); got != 0 {
 		t.Errorf("accepted %d, want 0", got)
 	}
 	if fails := log.Failures(); len(fails) != 1 || fails[0].Processor != "QA:HR_MC_score" {
@@ -337,7 +337,7 @@ func TestAnnotatorFailureDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatalf("annotator failure must degrade, not abort: %v", err)
 	}
-	if got := out[FilterOutput("filter top k score")].Len(); got != 0 {
+	if got := out[outputName("filter top k score", PortAccepted)].Len(); got != 0 {
 		t.Errorf("no evidence was ever written; accepted %d, want 0", got)
 	}
 	found := false

@@ -482,7 +482,7 @@ func TestMergedConditionEditsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FilterOutput("filter top k score")
+	out := outputName("filter top k score", PortAccepted)
 	if got, was := second["edit-b"].Outputs[out].Len(), first["edit-b"].Outputs[out].Len(); got <= was {
 		t.Errorf("loosened condition kept %d ≤ %d items", got, was)
 	}

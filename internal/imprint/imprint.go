@@ -119,9 +119,6 @@ func NewEngine(db []proteomics.Protein, params Params) (*Engine, error) {
 	return e, nil
 }
 
-// DatabaseSize returns the number of reference proteins.
-func (e *Engine) DatabaseSize() int { return len(e.indexes) }
-
 // Search matches a peak list against the reference database and returns
 // ranked identifications.
 func (e *Engine) Search(pl proteomics.PeakList) Result {

@@ -180,8 +180,8 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.DatabaseSize() != 5 {
-		t.Errorf("DatabaseSize = %d", eng.DatabaseSize())
+	if len(eng.indexes) != 5 {
+		t.Errorf("engine indexes %d proteins, want 5", len(eng.indexes))
 	}
 }
 

@@ -33,15 +33,6 @@ func New(authority, namespace, object string) (LSID, error) {
 	return l, nil
 }
 
-// MustNew is New that panics on invalid input; for statically-known LSIDs.
-func MustNew(authority, namespace, object string) LSID {
-	l, err := New(authority, namespace, object)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // Parse parses an LSID URN string.
 func Parse(s string) (LSID, error) {
 	lower := strings.ToLower(s)
@@ -61,12 +52,6 @@ func Parse(s string) (LSID, error) {
 		return LSID{}, err
 	}
 	return l, nil
-}
-
-// IsLSID reports whether s parses as a valid LSID.
-func IsLSID(s string) bool {
-	_, err := Parse(s)
-	return err == nil
 }
 
 // Validate checks that all mandatory components are present and contain no

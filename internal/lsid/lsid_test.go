@@ -44,9 +44,6 @@ func TestParseInvalid(t *testing.T) {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) should fail", s)
 		}
-		if IsLSID(s) {
-			t.Errorf("IsLSID(%q) should be false", s)
-		}
 	}
 }
 
@@ -91,7 +88,10 @@ func TestWrapUnwrap(t *testing.T) {
 }
 
 func TestWithRevision(t *testing.T) {
-	l := MustNew("a.org", "ns", "obj")
+	l, err := New("a.org", "ns", "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := l.WithRevision("v3")
 	if r.Revision != "v3" || l.Revision != "" {
 		t.Errorf("WithRevision mutated receiver or failed: %+v / %+v", l, r)

@@ -128,12 +128,6 @@ func (g *Graph) MustAdd(t Triple) {
 	}
 }
 
-// AddAll inserts all triples, stopping at the first malformed one.
-func (g *Graph) AddAll(ts []Triple) error {
-	_, err := g.AddBatch(ts)
-	return err
-}
-
 // AddBatch inserts all triples under a single lock acquisition — the bulk
 // load path for large graphs (provenance logs, parsed files). It returns
 // the number of triples actually added (duplicates are skipped); on a

@@ -193,8 +193,14 @@ func TestEvaluatorEquivalenceOnSnapshotAndGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := genGraph(rng)
 	query := "SELECT ?a ?b WHERE { ?a <urn:p0> ?b . OPTIONAL { ?a <urn:p1> ?c . } }"
-	fromGraph := MustExec(g, query)
-	fromSnap := MustExec(g.Snapshot(), query)
+	fromGraph, err := Exec(g, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSnap, err := Exec(g.Snapshot(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(fromGraph.Bindings) != len(fromSnap.Bindings) {
 		t.Fatalf("row count: graph=%d snapshot=%d", len(fromGraph.Bindings), len(fromSnap.Bindings))
 	}

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"fmt"
 	"sort"
 
 	"qurator/internal/rdf"
@@ -192,13 +191,4 @@ func collectVars(g *GroupPattern) []string {
 	}
 	walk(g)
 	return order
-}
-
-// MustExec is Exec that panics on error; for statically-known queries.
-func MustExec(d rdf.Dataset, query string) *Result {
-	r, err := Exec(d, query)
-	if err != nil {
-		panic(fmt.Sprintf("sparql: %v", err))
-	}
-	return r
 }

@@ -137,22 +137,6 @@ func TestExprStringRendering(t *testing.T) {
 	}
 }
 
-func TestMustExecPanicsOnBadQuery(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustExec should panic on a bad query")
-		}
-	}()
-	MustExec(exprGraph(), "NOT A QUERY")
-}
-
-func TestMustExecOK(t *testing.T) {
-	r := MustExec(exprGraph(), "ASK { ?x <urn:n> ?v . }")
-	if !r.Ok {
-		t.Error("ASK should hold")
-	}
-}
-
 func TestNumericComparisonAllOps(t *testing.T) {
 	for _, c := range []struct {
 		filter string

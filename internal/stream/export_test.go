@@ -10,19 +10,23 @@ import (
 // Hooks for the external tests (package stream_test), which hold the
 // compiled views that tests inside the package cannot build.
 
-// CountWindower drives a count windower directly.
-type CountWindower struct{ w *windower }
+// Windower drives a windower directly.
+type Windower struct{ w *windower }
 
 // FiredJob is one window job as the windower emitted it.
 type FiredJob struct{ j *windowJob }
 
-// NewCountWindower returns a count windower over cfg.
-func NewCountWindower(cfg Config) *CountWindower {
-	return &CountWindower{w: newWindower(cfg, "test")}
+// NewWindower returns a windower over cfg, normalised.
+func NewWindower(cfg Config) (*Windower, error) {
+	cfg, err := normalise(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Windower{w: newWindower(cfg, "test")}, nil
 }
 
 // Push adds one item and returns the jobs it fired.
-func (c *CountWindower) Push(it Item) ([]FiredJob, error) {
+func (c *Windower) Push(it Item) ([]FiredJob, error) {
 	js, err := c.w.push(it)
 	out := make([]FiredJob, len(js))
 	for i, j := range js {

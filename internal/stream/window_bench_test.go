@@ -2,48 +2,96 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"qurator/internal/evidence"
+	"qurator/internal/ontology"
 	"qurator/internal/rdf"
 )
 
-// BenchmarkWindowEviction is the regression benchmark for the quadratic
-// fire: eviction used to call w.live.Items() (a full copy of the window)
-// once per evicted item, making each fire O(window²). A fire is now
-// O(window), reusing the snapshot it already took.
-func BenchmarkWindowEviction(b *testing.B) {
-	key := evidence.Key(rdf.IRI("urn:q:HitRatio"))
-	for _, size := range []int{256, 1024, 4096} {
-		b.Run(fmt.Sprintf("window=%d", size), func(b *testing.B) {
-			items := make([]Item, 2*size)
-			for i := range items {
-				items[i] = Item{
-					ID:       evidence.Item(rdf.IRI(fmt.Sprintf("urn:item:%d", i))),
-					Evidence: map[evidence.Key]evidence.Value{key: evidence.Float(float64(i))},
-				}
+// benchItems is n items carrying four inline evidence keys and, for the
+// event-time shapes, a q:ObservedAt of i ms. With swap set, each pair of
+// neighbours arrives in reverse order (1, 0, 3, 2, …), 1 ms out of order.
+func benchItems(n int, event, swap bool) []Item {
+	items := make([]Item, n)
+	for i := range items {
+		ev := map[evidence.Key]evidence.Value{
+			ontology.HitRatio:      evidence.Float(float64(i%97) / 97),
+			ontology.Coverage:      evidence.Float(float64(i%89) / 89),
+			ontology.Masses:        evidence.Int(int64(10 + i%13)),
+			ontology.PeptidesCount: evidence.Int(int64(1 + i%7)),
+		}
+		if event {
+			ev[ontology.ObservedAt] = evidence.Int(int64(i))
+		}
+		items[i] = Item{ID: rdf.IRI(fmt.Sprintf("urn:item:%d", i)), Evidence: ev}
+	}
+	if swap {
+		for i := 0; i+1 < n; i += 2 {
+			items[i], items[i+1] = items[i+1], items[i]
+		}
+	}
+	return items
+}
+
+// BenchmarkWindower pushes 4,096 items through the windower in five
+// shapes and reports the time and allocations per pushed item. The
+// count shapes take the clone path (the live map holds exactly the
+// firing window); the event-time shapes take the project path. The
+// 4,096-item tumbling window also guards the fire against going
+// quadratic in the window size.
+func BenchmarkWindower(b *testing.B) {
+	const n = 4096
+	et, ms := ontology.ObservedAt, time.Millisecond
+	shapes := []struct {
+		name        string
+		cfg         Config
+		event, swap bool
+	}{
+		{name: "count/tumbling=64", cfg: Config{Window: 64}},
+		{name: "count/tumbling=4096", cfg: Config{Window: 4096}},
+		{name: "count/sliding=64/8", cfg: Config{Window: 64, Slide: 8}},
+		{name: "event/tumbling=64ms", event: true,
+			cfg: Config{EventTimeKey: et, WindowDuration: 64 * ms}},
+		{name: "event/sliding=64ms/8ms/ooo", event: true, swap: true,
+			cfg: Config{EventTimeKey: et, WindowDuration: 64 * ms, SlideDuration: 8 * ms, MaxOutOfOrder: 2 * ms}},
+	}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			cfg, err := normalise(s.cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
+			items := benchItems(n, s.event, s.swap)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				w := newWindower(Config{Window: size, Slide: size}, "bench")
-				fires := 0
+			for i := 0; i < b.N; i++ {
+				w := newWindower(cfg, "bench")
+				decided := 0
 				for _, it := range items {
-					js, _ := w.push(it)
+					js, err := w.push(it)
+					if err != nil {
+						b.Fatal(err)
+					}
 					for _, j := range js {
-						fires++
-						if len(j.items) != size {
-							b.Fatalf("fire carried %d items, want %d", len(j.items), size)
-						}
+						decided += len(j.decide)
 					}
 				}
-				if fires != 2 {
-					b.Fatalf("fires = %d, want 2", fires)
+				for _, j := range w.flush() {
+					decided += len(j.decide)
 				}
-				if w.live.Len() != 0 {
-					b.Fatalf("live window not emptied: %d", w.live.Len())
+				if decided != n {
+					b.Fatalf("decided %d items, want %d", decided, n)
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			pushed := float64(b.N) * n
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pushed, "ns/item")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/pushed, "allocs/item")
 		})
 	}
 }

@@ -36,7 +36,10 @@ func TestFiredWindowMapNeverMutated(t *testing.T) {
 			ontology.Masses:   evidence.Int(int64(10 + i)),
 		}}
 	}
-	w := stream.NewCountWindower(cfg)
+	w, err := stream.NewWindower(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var fired []stream.FiredJob
 	for i := 0; i < 4; i++ {
 		js, err := w.Push(item(i, 0.5))

@@ -17,7 +17,9 @@ func TestToDOT(t *testing.T) {
 	})
 	w.MustAddProcessor(constant("side", 2))
 	w.MustAddLink(Link{"src", "out", "sink", "in"})
-	w.MustAddControlLink(ControlLink{"side", "sink"})
+	if err := w.AddControlLink(ControlLink{"side", "sink"}); err != nil {
+		t.Fatal(err)
+	}
 	w.BindOutput("result", "sink", "done")
 
 	dot := w.ToDOT()

@@ -267,13 +267,6 @@ func (w *Workflow) AddControlLink(c ControlLink) error {
 	return nil
 }
 
-// MustAddControlLink is AddControlLink that panics on error.
-func (w *Workflow) MustAddControlLink(c ControlLink) {
-	if err := w.AddControlLink(c); err != nil {
-		panic(err)
-	}
-}
-
 // BindInput routes a workflow-level input to a processor port. One input
 // may fan out to several ports.
 func (w *Workflow) BindInput(name, proc, port string) error {

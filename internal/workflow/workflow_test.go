@@ -114,7 +114,9 @@ func TestControlLinkOrdering(t *testing.T) {
 	// slow would finish after fast without the control link.
 	w.MustAddProcessor(mk("slow", 30*time.Millisecond))
 	w.MustAddProcessor(mk("fast", 0))
-	w.MustAddControlLink(ControlLink{From: "slow", To: "fast"})
+	if err := w.AddControlLink(ControlLink{From: "slow", To: "fast"}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := w.Run(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +185,12 @@ func TestValidateCycle(t *testing.T) {
 	w2 := New("cyclic2")
 	w2.MustAddProcessor(constant("a", 1))
 	w2.MustAddProcessor(constant("b", 2))
-	w2.MustAddControlLink(ControlLink{"a", "b"})
-	w2.MustAddControlLink(ControlLink{"b", "a"})
+	if err := w2.AddControlLink(ControlLink{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.AddControlLink(ControlLink{"b", "a"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := w2.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("control cycle not detected: %v", err)
 	}

@@ -67,18 +67,3 @@ func (f *Framework) ExecuteViewSet(ctx context.Context, viewXMLs [][]byte, items
 	}
 	return out, nil
 }
-
-// ExecuteSharedViewSet enacts published library views by name as one
-// merged plan — the library is exactly where shared structure
-// accumulates (paper §7: views are reusable quality knowledge).
-func (f *Framework) ExecuteSharedViewSet(ctx context.Context, names []string, items []Item) (map[string]map[string]*Map, error) {
-	xmls := make([][]byte, 0, len(names))
-	for _, name := range names {
-		entry, ok := f.Library.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("qurator: no published view %q", name)
-		}
-		xmls = append(xmls, []byte(entry.ViewXML))
-	}
-	return f.ExecuteViewSet(ctx, xmls, items)
-}
