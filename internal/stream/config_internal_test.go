@@ -27,3 +27,27 @@ func TestNormaliseDefaults(t *testing.T) {
 		t.Errorf("normalised event-time config = %+v", got)
 	}
 }
+
+// TestNormaliseBoundsSpans: a window, gap, out-of-order bound or lateness
+// past 2⁶⁰ (ns, or items for a count window) is refused, so no clock plus
+// span overflows; one at the bound is accepted.
+func TestNormaliseBoundsSpans(t *testing.T) {
+	et := func(cfg Config) Config { cfg.EventTimeKey = ontology.ObservedAt; return cfg }
+	for _, tc := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{Window: maxSpan}, true},
+		{Config{Window: maxSpan + 1}, false},
+		{et(Config{WindowDuration: maxSpan, MaxOutOfOrder: maxSpan, AllowedLateness: maxSpan}), true},
+		{et(Config{SessionGap: maxSpan}), true},
+		{et(Config{WindowDuration: maxSpan + 1}), false},
+		{et(Config{SessionGap: maxSpan + 1}), false},
+		{et(Config{WindowDuration: time.Second, MaxOutOfOrder: maxSpan + 1}), false},
+		{et(Config{WindowDuration: time.Second, AllowedLateness: maxSpan + 1}), false},
+	} {
+		if _, err := normalise(tc.cfg); (err == nil) != tc.ok {
+			t.Errorf("normalise(%+v) = %v, want ok=%v", tc.cfg, err, tc.ok)
+		}
+	}
+}
