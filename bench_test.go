@@ -19,15 +19,12 @@ import (
 	"time"
 
 	"qurator/internal/annotstore"
-	"qurator/internal/condition"
 	"qurator/internal/evidence"
 	"qurator/internal/ispider"
 	"qurator/internal/ontology"
 	"qurator/internal/ops"
 	"qurator/internal/provenance"
-	"qurator/internal/qa"
 	"qurator/internal/qcache"
-	"qurator/internal/qvlang"
 	"qurator/internal/rdf"
 	"qurator/internal/sparql"
 	"qurator/internal/stream"
@@ -72,50 +69,50 @@ func BenchmarkFigure1HostWorkflow(b *testing.B) {
 }
 
 // BenchmarkFigure3QualityProcess regenerates the Figure 3 pattern: the
-// full annotate → enrich → assert → act process over a 100-item set,
-// using the in-memory operator semantics.
+// full annotate → enrich → assert → consolidate → act process of the §5.1
+// view, compiled once and enacted over a 100-item set.
 func BenchmarkFigure3QualityProcess(b *testing.B) {
+	f := New()
+	if err := f.DeployStandardLibrary(); err != nil {
+		b.Fatal(err)
+	}
+	err := f.DeployAnnotator("ImprintOutputAnnotator", ops.AnnotatorFunc{
+		ClassIRI: ontology.ImprintOutputAnnotation,
+		Types:    []rdf.Term{ontology.HitRatio, ontology.Coverage, ontology.Masses, ontology.PeptidesCount},
+		Fn: func(items []evidence.Item, repo annotstore.Store) error {
+			for i, it := range items {
+				v := float64(i%10) / 10
+				for _, a := range []annotstore.Annotation{
+					{Item: it, Type: ontology.HitRatio, Value: evidence.Float(v)},
+					{Item: it, Type: ontology.Coverage, Value: evidence.Float(v)},
+					{Item: it, Type: ontology.Masses, Value: evidence.Int(12)},
+					{Item: it, Type: ontology.PeptidesCount, Value: evidence.Int(6)},
+				} {
+					if err := repo.Put(a); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	compiled, err := f.CompileView([]byte(PaperViewXML))
+	if err != nil {
+		b.Fatal(err)
+	}
 	items := make([]evidence.Item, 100)
 	for i := range items {
 		items[i] = rdf.IRI(fmt.Sprintf("urn:lsid:bench.org:item:%d", i))
 	}
-	cache := annotstore.New("cache", false)
-	process := &ops.Process{
-		Annotators: []ops.Annotator{ops.AnnotatorFunc{
-			ClassIRI: ontology.ImprintOutputAnnotation,
-			Types:    []rdf.Term{ontology.HitRatio, ontology.Coverage},
-			Fn: func(items []evidence.Item, repo annotstore.Store) error {
-				for i, it := range items {
-					v := float64(i%10) / 10
-					if err := repo.Put(annotstore.Annotation{Item: it, Type: ontology.HitRatio, Value: evidence.Float(v)}); err != nil {
-						return err
-					}
-					if err := repo.Put(annotstore.Annotation{Item: it, Type: ontology.Coverage, Value: evidence.Float(v)}); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		}},
-		AnnotateTo: cache,
-		Enrichment: &ops.DataEnrichment{Sources: []ops.EvidenceSource{
-			{Type: ontology.HitRatio, Repository: cache},
-			{Type: ontology.Coverage, Repository: cache},
-		}},
-		Assertions: []ops.QualityAssertion{
-			qa.NewUniversalPIScore(qvlang.TagKeyFor("HR_MC")),
-			qa.NewPIScoreClassifier(),
-		},
-		FilterStep: &ops.Filter{
-			Cond: condition.MustParse("ScoreClass in q:high, q:mid"),
-			Vars: condition.Bindings{"ScoreClass": ontology.PIScoreClassification},
-		},
-	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cache.Clear()
-		if _, _, err := process.Run(items); err != nil {
+		f.Repositories.ClearCaches()
+		if _, err := compiled.Run(ctx, items); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +158,7 @@ func BenchmarkFigure7Significance(b *testing.B) {
 	var res *ispider.Figure7Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = ispider.RunFigure7(w)
+		res, _, err = ispider.RunFigure7Timed(w)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -188,16 +188,6 @@ func (r *Repository) applyLocked(dels, adds []rdf.Triple) error {
 	return err
 }
 
-// PutAll stores a batch of annotations, stopping at the first error.
-func (r *Repository) PutAll(as []Annotation) error {
-	for _, a := range as {
-		if err := r.Put(a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Get retrieves the annotation value for (item, type); the boolean
 // reports presence.
 func (r *Repository) Get(item evidence.Item, typ rdf.Term) (evidence.Value, bool) {
@@ -289,14 +279,14 @@ func (r *Repository) Clear() {
 
 // Query runs a SPARQL query against the annotation graph — the paper's
 // primary access path (§5). Evaluation runs over an O(1) snapshot, so an
-// arbitrarily long query never blocks writers (Put/Clear/Load).
+// arbitrarily long query never blocks writers (Put/Clear).
 func (r *Repository) Query(query string) (*sparql.Result, error) {
 	return sparql.Exec(r.Snapshot(), query)
 }
 
 // Snapshot returns an immutable O(1) view of the annotation graph. The
 // repository lock is held only long enough to read the graph pointer
-// (Load swaps it); snapshot reads themselves are lock-free.
+// (Persist swaps it); snapshot reads themselves are lock-free.
 func (r *Repository) Snapshot() *rdf.Snapshot {
 	r.mu.RLock()
 	g := r.graph
@@ -317,34 +307,6 @@ func (r *Repository) WriteTurtle(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return rdf.WriteTurtle(w, r.graph, map[string]string{"q": ontology.QuratorNS})
-}
-
-// Save writes the repository to an N-Triples file.
-func (r *Repository) Save(path string) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return rdf.SaveFile(path, r.graph)
-}
-
-// Load replaces the repository contents from an N-Triples file. With a
-// durable backend the replacement is logged as a clear plus a bulk add,
-// so it survives a restart like any other write.
-func (r *Repository) Load(path string) error {
-	g, err := rdf.LoadFile(path)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.store == nil {
-		r.graph = g
-		return nil
-	}
-	if err := r.store.Clear(); err != nil {
-		return err
-	}
-	_, err = r.store.AddBatch(g.Triples())
-	return err
 }
 
 // Registry maps the repository names referenced by quality views

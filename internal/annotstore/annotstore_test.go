@@ -2,7 +2,6 @@ package annotstore
 
 import (
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -152,24 +151,6 @@ func TestSPARQLAccessPath(t *testing.T) {
 	}
 	if f, ok := res.Bindings[0]["v"].Float(); !ok || f != 0.82 {
 		t.Errorf("value = %v", res.Bindings[0]["v"])
-	}
-}
-
-func TestSaveLoad(t *testing.T) {
-	r := New("persist", true)
-	p := protein("P1")
-	r.Put(Annotation{Item: p, Type: ontology.EvidenceCode, Value: evidence.String_("TAS")})
-	path := filepath.Join(t.TempDir(), "annotations.nt")
-	if err := r.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	r2 := New("persist", true)
-	if err := r2.Load(path); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	v, ok := r2.Get(p, ontology.EvidenceCode)
-	if !ok || v.AsString() != "TAS" {
-		t.Errorf("after Load: %v, %v", v, ok)
 	}
 }
 

@@ -1,14 +1,12 @@
 package annotstore
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"qurator/internal/evidence"
 	"qurator/internal/ontology"
+	"qurator/internal/rdf"
 )
 
 func TestRecordedAtStampsWrites(t *testing.T) {
@@ -74,37 +72,21 @@ func TestExpireBefore(t *testing.T) {
 }
 
 func TestExpireBeforeTreatsUnstampedAsStale(t *testing.T) {
-	// Annotations loaded from a pre-freshness snapshot have no stamp; a
-	// conservative expiry removes them. Simulate by stripping the stamp
-	// statements from a file snapshot and reloading.
+	// Annotations written before freshness stamps existed have no stamp;
+	// a conservative expiry removes them. Simulate one by stripping the
+	// stamp statement from a fresh write.
 	r := New("default", true)
 	p := protein("P1")
 	if err := r.Put(Annotation{Item: p, Type: ontology.EvidenceCode, Value: evidence.String_("TAS")}); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.nt")
-	if err := r.Save(path); err != nil {
-		t.Fatal(err)
+	for _, tr := range r.graph.Match(rdf.Term{}, recordedAt, rdf.Term{}) {
+		r.graph.Remove(tr)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := r.Get(p, ontology.EvidenceCode); !ok {
+		t.Fatal("stripping the stamp lost the annotation")
 	}
-	var kept []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.Contains(line, "recordedAt") {
-			kept = append(kept, line)
-		}
-	}
-	if err := os.WriteFile(path, []byte(strings.Join(kept, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r2 := New("default", true)
-	if err := r2.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	if removed := r2.ExpireBefore(time.Now()); removed != 1 {
+	if removed := r.ExpireBefore(time.Now()); removed != 1 {
 		t.Errorf("unstamped annotation should expire, removed %d", removed)
 	}
 }

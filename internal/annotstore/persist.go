@@ -8,7 +8,7 @@ import (
 )
 
 // This file attaches the durable metadata plane (internal/mstore) to a
-// repository: once Persist is called, every mutation — Put, Clear, Load,
+// repository: once Persist is called, every mutation — Put, Clear,
 // ExpireBefore — is committed to a write-ahead log before it becomes
 // visible, and Open-time recovery rebuilds the annotation graph exactly
 // as it stood at the last committed batch. Read paths are untouched: the
@@ -44,13 +44,6 @@ func (r *Repository) Persist(dir string, opts mstore.Options) error {
 	return nil
 }
 
-// Durable reports whether a backend is attached.
-func (r *Repository) Durable() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.store != nil
-}
-
 // Flush checkpoints the durable backend (no-op without one).
 func (r *Repository) Flush() error {
 	r.mu.RLock()
@@ -73,17 +66,6 @@ func (r *Repository) CloseStore() error {
 	err := r.store.Close()
 	r.store = nil
 	return err
-}
-
-// StoreStats returns the backend's durability statistics (zero without
-// one).
-func (r *Repository) StoreStats() mstore.Stats {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.store == nil {
-		return mstore.Stats{}
-	}
-	return r.store.Stats()
 }
 
 // SetObserver registers a callback invoked for every successful Put with

@@ -1,7 +1,6 @@
 package annotstore
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -94,43 +93,6 @@ func TestPersistClearAndExpire(t *testing.T) {
 	defer r3.CloseStore()
 	if r3.Len() != 0 {
 		t.Fatalf("after Clear+restart Len = %d, want 0", r3.Len())
-	}
-}
-
-func TestPersistLoadReplacesDurably(t *testing.T) {
-	// Build an N-Triples file via a plain repository.
-	src := New("src", true)
-	if err := src.Put(Annotation{
-		Item: rdf.IRI("urn:lsid:x:loaded"), Type: ontology.Q("MassCoverage"), Value: evidence.Float(0.7),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "dump.nt")
-	if err := src.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	r := reopen(t, dir)
-	if err := r.Put(Annotation{
-		Item: rdf.IRI("urn:lsid:x:old"), Type: ontology.Q("HitRatio"), Value: evidence.Float(0.1),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	r.CloseStore()
-
-	r2 := reopen(t, dir)
-	defer r2.CloseStore()
-	if _, ok := r2.Get(rdf.IRI("urn:lsid:x:old"), ontology.Q("HitRatio")); ok {
-		t.Fatal("pre-Load annotation survived the replacement")
-	}
-	if v, ok := r2.Get(rdf.IRI("urn:lsid:x:loaded"), ontology.Q("MassCoverage")); !ok {
-		t.Fatal("loaded annotation lost across restart")
-	} else if f, _ := v.AsFloat(); f != 0.7 {
-		t.Fatalf("loaded value = %v", f)
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"qurator/internal/ontology"
 	"qurator/internal/provenance"
+	"qurator/internal/rdf"
 	"qurator/internal/stream"
 )
 
@@ -105,12 +107,13 @@ func TestLateReEmissionSupersedesAcrossNodeDeath(t *testing.T) {
 	// The supersession link must be queryable on the owner's provenance
 	// log AND on every peer the journal replicated to.
 	findLink := func(l *provenance.Log) (string, string) {
-		for _, k := range l.EmissionKeys() {
-			if old, ok := l.Superseded(k); ok {
-				return k, old
-			}
-		}
-		return "", ""
+		var newKey string
+		l.Snapshot().ForEachMatch(rdf.Term{}, ontology.Q("Supersedes"), rdf.Term{}, func(tr rdf.Triple) bool {
+			newKey = strings.TrimPrefix(tr.Subject.Value(), ontology.QuratorNS+"emission/")
+			return false
+		})
+		old, _ := l.Superseded(newKey)
+		return newKey, old
 	}
 	var newKey string
 	for id, l := range logs {

@@ -89,27 +89,6 @@ func (r *Ring) Owner(key string) string {
 	return r.points[r.search(key)].node
 }
 
-// Successors returns up to n distinct members starting at key's owner
-// and walking clockwise — the owner first, then the members that would
-// inherit the key as owners die. Replication targets, in takeover order.
-func (r *Ring) Successors(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := r.search(key); len(out) < n; i = (i + 1) % len(r.points) {
-		if node := r.points[i].node; !seen[node] {
-			seen[node] = true
-			out = append(out, node)
-		}
-	}
-	return out
-}
-
 // search returns the index of the first point at or clockwise after the
 // key's hash.
 func (r *Ring) search(key string) int {

@@ -61,30 +61,9 @@ func TestRingOwnerIsEvenlySpread(t *testing.T) {
 	}
 }
 
-func TestRingSuccessorsDistinctAndOwnerFirst(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 16)
-	succ := r.Successors("some-key", 3)
-	if len(succ) != 3 {
-		t.Fatalf("Successors = %v; want all 3 members", succ)
-	}
-	if succ[0] != r.Owner("some-key") {
-		t.Fatalf("Successors[0] = %q; want the owner %q", succ[0], r.Owner("some-key"))
-	}
-	seen := map[string]bool{}
-	for _, s := range succ {
-		if seen[s] {
-			t.Fatalf("Successors = %v contains %q twice", succ, s)
-		}
-		seen[s] = true
-	}
-	if got := r.Successors("some-key", 99); len(got) != 3 {
-		t.Fatalf("Successors(n>members) = %v; want exactly the member set", got)
-	}
-}
-
 func TestRingEmpty(t *testing.T) {
 	r := NewRing(nil, 8)
-	if r.Owner("x") != "" || r.Successors("x", 2) != nil || r.Len() != 0 {
+	if r.Owner("x") != "" || r.Len() != 0 {
 		t.Fatalf("empty ring should own nothing")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"qurator/internal/evidence"
@@ -496,26 +495,4 @@ func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string
 		results[vname] = res
 	}
 	return results, nil
-}
-
-// Describe renders the merged plan structure with per-view membership —
-// the MQO counterpart of Compiled.Describe.
-func (mv *MultiView) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "merged plan %s (%d views, %d shared prefixes, %d invocations saved per enactment)\n",
-		mv.name, len(mv.members), mv.sharedPrefixes, mv.SavedPerEnactment())
-	for _, name := range mv.wf.Processors() {
-		var views []string
-		for _, m := range mv.members {
-			if _, ok := m.procs[name]; ok {
-				views = append(views, m.view.Workflow.Name())
-			}
-		}
-		if strings.Contains(name, "/") || len(views) == 0 {
-			fmt.Fprintf(&b, "  %-60s\n", name)
-			continue
-		}
-		fmt.Fprintf(&b, "  %-60s views=%s\n", name, strings.Join(views, ","))
-	}
-	return b.String()
 }

@@ -185,7 +185,7 @@ func TestMergeViewsSharesPrefixes(t *testing.T) {
 	}
 	// 1 annotator + 1 enrichment + 3 QAs + 1 consolidation + 3 actions.
 	if got := len(mv.Workflow().Processors()); got != 9 {
-		t.Fatalf("merged plan has %d processors, want 9:\n%s", got, mv.Describe())
+		t.Fatalf("merged plan has %d processors, want 9:\n%v", got, mv.Workflow().Processors())
 	}
 	if got := mv.SharedPrefixes(); got != 5 {
 		t.Errorf("SharedPrefixes = %d, want 5 (annotator, enrichment, 3 QAs)", got)

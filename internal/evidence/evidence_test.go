@@ -44,12 +44,6 @@ func TestValueKindsAndConversions(t *testing.T) {
 	if f, ok := Int(7).AsFloat(); !ok || f != 7 {
 		t.Error("Int should convert to float")
 	}
-	if n, ok := Float(3).AsInt(); !ok || n != 3 {
-		t.Error("whole Float should convert to int")
-	}
-	if _, ok := Float(3.5).AsInt(); ok {
-		t.Error("fractional Float should not convert to int")
-	}
 	if f, ok := String_("2.5").AsFloat(); !ok || f != 2.5 {
 		t.Error("numeric string should convert to float")
 	}

@@ -220,11 +220,3 @@ func (a *Accumulator) Thresholds() (lo, hi float64) {
 	sd := a.StdDev()
 	return a.Mean() - sd, a.Mean() + sd
 }
-
-// Stats snapshots the accumulator as a Stats value. Min and Max are not
-// tracked (they cannot be maintained under O(1) removal) and are reported
-// as the mean for non-empty accumulators.
-func (a *Accumulator) Stats() Stats {
-	m := a.Mean()
-	return Stats{N: a.n, Mean: m, StdDev: a.StdDev(), Min: m, Max: m}
-}

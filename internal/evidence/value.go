@@ -156,21 +156,6 @@ func (v Value) AsFloat() (float64, bool) {
 	}
 }
 
-// AsInt converts integer-valued values to int64.
-func (v Value) AsInt() (int64, bool) {
-	switch v.kind {
-	case KindInt:
-		return int64(v.w), true
-	case KindFloat:
-		if f := v.float(); f == float64(int64(f)) {
-			return int64(f), true
-		}
-		return 0, false
-	default:
-		return 0, false
-	}
-}
-
 // AsString returns the lexical form of the value.
 func (v Value) AsString() string {
 	switch v.kind {

@@ -80,31 +80,6 @@ func (db *DB) TermCount() int {
 	return len(db.terms)
 }
 
-// Ancestors returns the transitive is-a ancestors of a term (excluding
-// itself), sorted by ID.
-func (db *DB) Ancestors(id string) []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	seen := map[string]bool{}
-	stack := []string{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range db.terms[cur].Parents {
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Annotate stores an annotation; the term must exist.
 func (db *DB) Annotate(a Annotation) error {
 	if a.ProteinAccession == "" || a.TermID == "" {
@@ -139,20 +114,6 @@ func (db *DB) TermsFor(accession string) []string {
 		out = append(out, t)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// TermFrequencies accumulates GO-term occurrence counts over a set of
-// proteins — the raw material of the paper's pareto chart ("making a
-// pareto chart of the functional annotations by frequency of
-// occurrence") and of the Figure 7 ratios.
-func (db *DB) TermFrequencies(accessions []string) map[string]int {
-	out := map[string]int{}
-	for _, acc := range accessions {
-		for _, term := range db.TermsFor(acc) {
-			out[term]++
-		}
-	}
 	return out
 }
 

@@ -41,18 +41,6 @@ func TestTermStorage(t *testing.T) {
 	}
 }
 
-func TestAncestors(t *testing.T) {
-	db := smallGO(t)
-	got := db.Ancestors("GO:0005515")
-	want := []string{"GO:0003674", "GO:0005488"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Ancestors = %v, want %v", got, want)
-	}
-	if len(db.Ancestors("GO:0003674")) != 0 {
-		t.Error("root should have no ancestors")
-	}
-}
-
 func TestAnnotateAndQuery(t *testing.T) {
 	db := smallGO(t)
 	anns := []Annotation{
@@ -80,20 +68,6 @@ func TestAnnotateAndQuery(t *testing.T) {
 	}
 	if err := db.Annotate(Annotation{}); err == nil {
 		t.Error("incomplete annotation should fail")
-	}
-}
-
-func TestTermFrequencies(t *testing.T) {
-	db := smallGO(t)
-	db.Annotate(Annotation{ProteinAccession: "P1", TermID: "GO:0005515", EvidenceCode: "TAS"})
-	db.Annotate(Annotation{ProteinAccession: "P2", TermID: "GO:0005515", EvidenceCode: "IDA"})
-	db.Annotate(Annotation{ProteinAccession: "P2", TermID: "GO:0003824", EvidenceCode: "IEA"})
-	// Duplicate annotation of the same term counts once per protein.
-	db.Annotate(Annotation{ProteinAccession: "P2", TermID: "GO:0003824", EvidenceCode: "TAS"})
-
-	freqs := db.TermFrequencies([]string{"P1", "P2", "P3"})
-	if freqs["GO:0005515"] != 2 || freqs["GO:0003824"] != 1 {
-		t.Errorf("TermFrequencies = %v", freqs)
 	}
 }
 
@@ -146,13 +120,14 @@ func TestGenerateSynthetic(t *testing.T) {
 	if err := GenerateSynthetic(New(), accs, 0, 4, rng); err == nil {
 		t.Error("nTerms=0 should fail")
 	}
-	// The is-a forest is acyclic: Ancestors terminates and never contains
-	// the term itself.
+	// The is-a forest is acyclic: every parent sorts before its child, so
+	// no term is its own ancestor.
 	for i := 0; i < 50; i++ {
 		id := fmt.Sprintf("GO:%07d", 1000+i)
-		for _, anc := range db.Ancestors(id) {
-			if anc == id {
-				t.Fatalf("term %s is its own ancestor", id)
+		term, _ := db.Term(id)
+		for _, parent := range term.Parents {
+			if parent >= id {
+				t.Fatalf("term %s has parent %s, which does not precede it", id, parent)
 			}
 		}
 	}

@@ -55,17 +55,12 @@ type Figure7Timings struct {
 	Ranking time.Duration
 }
 
-// RunFigure7 reproduces the §6.3 experiment: the 10-spot experiment is
+// RunFigure7Timed reproduces the §6.3 experiment: the 10-spot experiment is
 // analysed once through the plain Figure 1 workflow and once with the
 // embedded quality view whose filter keeps only top-quality protein IDs
 // (score above avg + stddev, i.e. class q:high), then GO terms are ranked
-// by the kept/original occurrence ratio.
-func RunFigure7(world *World) (*Figure7Result, error) {
-	res, _, err := RunFigure7Timed(world)
-	return res, err
-}
-
-// RunFigure7Timed is RunFigure7 with a per-phase timing breakdown.
+// by the kept/original occurrence ratio. It also reports how long each
+// phase took.
 func RunFigure7Timed(world *World) (*Figure7Result, *Figure7Timings, error) {
 	t := &Figure7Timings{}
 	began := time.Now()

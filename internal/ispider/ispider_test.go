@@ -185,9 +185,9 @@ func TestPipelineRerunIsStable(t *testing.T) {
 
 func TestFigure7ShapeMatchesPaper(t *testing.T) {
 	w := smallWorld(t)
-	res, err := RunFigure7(w)
+	res, _, err := RunFigure7Timed(w)
 	if err != nil {
-		t.Fatalf("RunFigure7: %v", err)
+		t.Fatalf("RunFigure7Timed: %v", err)
 	}
 	if len(res.Rows) == 0 {
 		t.Fatal("no Figure 7 rows")

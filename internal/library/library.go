@@ -142,15 +142,6 @@ func (l *Library) List() []*Entry {
 	return out
 }
 
-// Remove deletes an entry, reporting whether it existed.
-func (l *Library) Remove(name string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.entries[name]
-	delete(l.entries, name)
-	return ok
-}
-
 // FindApplicable returns the views runnable given the evidence types the
 // caller can supply: every required evidence type must be available
 // (subsumption counts — offering a subclass of a required type

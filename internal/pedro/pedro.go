@@ -7,7 +7,6 @@ package pedro
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"qurator/internal/proteomics"
@@ -80,18 +79,6 @@ func (db *DB) Experiment(id string) (*Experiment, bool) {
 	cp := *e
 	cp.Spots = append([]Spot(nil), e.Spots...)
 	return &cp, true
-}
-
-// Experiments lists the stored experiment IDs, sorted.
-func (db *DB) Experiments() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.experiments))
-	for id := range db.experiments {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // PeakLists returns the peak lists of an experiment in spot order — the

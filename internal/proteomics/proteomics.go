@@ -60,11 +60,6 @@ func (p Protein) Validate() error {
 	return nil
 }
 
-// Mass returns the protein's monoisotopic mass (Da).
-func (p Protein) Mass() float64 {
-	return SequenceMass(p.Sequence)
-}
-
 // SequenceMass computes the monoisotopic mass of a peptide/protein
 // sequence (residues + one water).
 func SequenceMass(seq string) float64 {

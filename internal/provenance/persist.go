@@ -102,17 +102,6 @@ func (l *Log) CloseStore() error {
 	return err
 }
 
-// StoreStats returns the backend's durability statistics (zero without
-// one).
-func (l *Log) StoreStats() mstore.Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.store == nil {
-		return mstore.Stats{}
-	}
-	return l.store.Stats()
-}
-
 // Err returns the last store write failure (Record cannot return one —
 // its signature predates persistence) and clears it.
 func (l *Log) Err() error {

@@ -221,33 +221,11 @@ func (l *Log) Emission(key string) (string, bool) {
 	return p, ok
 }
 
-// EmissionKeys returns every journaled idempotency key (unordered).
-func (l *Log) EmissionKeys() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.emissions))
-	for k := range l.emissions {
-		out = append(out, k)
-	}
-	return out
-}
-
 // Emissions returns the number of journaled window emissions.
 func (l *Log) Emissions() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.emissions)
-}
-
-// Runs returns the recorded run resources, oldest first.
-func (l *Log) Runs() []rdf.Term {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]rdf.Term, 0, l.seq)
-	for i := 1; i <= l.seq; i++ {
-		out = append(out, rdf.IRI(fmt.Sprintf("%srun/%d", ontology.QuratorNS, i)))
-	}
-	return out
 }
 
 // Len returns the number of recorded runs.

@@ -57,9 +57,8 @@ func TestRunsOrderAndSequence(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		l.Record(sampleRecord(i))
 	}
-	runs := l.Runs()
-	if len(runs) != 3 {
-		t.Fatalf("Runs = %v", runs)
+	if l.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", l.Len())
 	}
 	// LastRun reflects the most recent record.
 	got, _ := l.LastRun()

@@ -14,14 +14,10 @@ import (
 // "investigating the use of machine learning techniques to derive
 // decision models and quality functions from example data sets".
 //
-// Two learners are provided, both producing standard QA operators so the
-// learned models plug into quality views exactly like hand-built ones:
-//
-//   - LearnStumps induces a depth-limited decision tree of single-evidence
-//     threshold tests (decision stumps split by information gain), emitted
-//     as a DecisionTree QA;
-//   - LearnLinearScore fits a least-squares linear scoring function over
-//     the evidence vector, emitted as a Score QA.
+// LearnStumps induces a depth-limited decision tree of single-evidence
+// threshold tests (decision stumps split by information gain), emitted as
+// a DecisionTree QA, so the learned model plugs into quality views
+// exactly like a hand-built one.
 
 // Example is one labelled training instance: a data item (whose evidence
 // lives in the training map) with a boolean quality label.
@@ -236,94 +232,6 @@ func induce(rows [][]float64, labels []bool, names []string, params StumpParams,
 	return Branch(cond,
 		induce(hiRows, hiLabels, names, params, depth+1, goodLabel, badLabel),
 		induce(loRows, loLabels, names, params, depth+1, goodLabel, badLabel))
-}
-
-// LearnLinearScore fits a linear scoring function w·x + b to the labels
-// (least squares against 1/0 targets via gradient descent) and returns a
-// Score QA producing values scaled to 0–100. Higher scores mean more
-// acceptable.
-func LearnLinearScore(ts *TrainingSet, classIRI, tag rdf.Term) (*Score, error) {
-	if err := ts.Validate(); err != nil {
-		return nil, err
-	}
-	rows, labels := ts.featureMatrix()
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("qa: no complete examples")
-	}
-	nf := len(ts.Features)
-	// Standardise features for stable optimisation.
-	mean := make([]float64, nf)
-	std := make([]float64, nf)
-	for j := 0; j < nf; j++ {
-		for _, r := range rows {
-			mean[j] += r[j]
-		}
-		mean[j] /= float64(len(rows))
-		for _, r := range rows {
-			d := r[j] - mean[j]
-			std[j] += d * d
-		}
-		std[j] = math.Sqrt(std[j] / float64(len(rows)))
-		if std[j] == 0 {
-			std[j] = 1
-		}
-	}
-	w := make([]float64, nf)
-	b := 0.0
-	lr := 0.1
-	for epoch := 0; epoch < 500; epoch++ {
-		gradW := make([]float64, nf)
-		gradB := 0.0
-		for i, r := range rows {
-			pred := b
-			for j := 0; j < nf; j++ {
-				pred += w[j] * (r[j] - mean[j]) / std[j]
-			}
-			target := 0.0
-			if labels[i] {
-				target = 1
-			}
-			err := pred - target
-			for j := 0; j < nf; j++ {
-				gradW[j] += err * (r[j] - mean[j]) / std[j]
-			}
-			gradB += err
-		}
-		for j := 0; j < nf; j++ {
-			w[j] -= lr * gradW[j] / float64(len(rows))
-		}
-		b -= lr * gradB / float64(len(rows))
-	}
-
-	features := append([]rdf.Term(nil), ts.Features...)
-	weights := append([]float64(nil), w...)
-	means := append([]float64(nil), mean...)
-	stds := append([]float64(nil), std...)
-	bias := b
-	return &Score{
-		ClassIRI:    classIRI,
-		Tag:         tag,
-		Inputs:      features,
-		SkipMissing: true,
-		Fn: func(in map[rdf.Term]evidence.Value) (float64, error) {
-			s := bias
-			for j, f := range features {
-				v, ok := in[f].AsFloat()
-				if !ok {
-					return 0, fmt.Errorf("missing feature %v", f)
-				}
-				s += weights[j] * (v - means[j]) / stds[j]
-			}
-			// Clamp the raw acceptability estimate to [0, 1] and scale.
-			if s < 0 {
-				s = 0
-			}
-			if s > 1 {
-				s = 1
-			}
-			return 100 * s, nil
-		},
-	}, nil
 }
 
 // EvaluateClassifier measures a classifier QA's accuracy over labelled

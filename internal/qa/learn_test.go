@@ -136,87 +136,6 @@ func TestLearnValidation(t *testing.T) {
 		ontology.ClassHigh, ontology.ClassLow, learnVars, StumpParams{}); err == nil {
 		t.Error("example outside the map should fail")
 	}
-	if _, err := LearnLinearScore(empty, ontology.Q("X"), ontology.Q("tag/x")); err == nil {
-		t.Error("linear learner should validate too")
-	}
-}
-
-func TestLearnLinearScoreSeparates(t *testing.T) {
-	ts := syntheticTraining(300, false, 8)
-	score, err := LearnLinearScore(ts, ontology.Q("LearnedScore"), ontology.Q("tag/learned"))
-	if err != nil {
-		t.Fatalf("LearnLinearScore: %v", err)
-	}
-	m := ts.Amap.Clone()
-	if err := score.Assert(m); err != nil {
-		t.Fatal(err)
-	}
-	// Mean score of positives must clearly exceed mean of negatives.
-	var posSum, negSum float64
-	var posN, negN int
-	for _, ex := range ts.Examples {
-		v, ok := m.Get(ex.Item, ontology.Q("tag/learned")).AsFloat()
-		if !ok {
-			t.Fatalf("no learned score on %v", ex.Item)
-		}
-		if v < 0 || v > 100 {
-			t.Fatalf("score %v out of [0,100]", v)
-		}
-		if ex.Good {
-			posSum += v
-			posN++
-		} else {
-			negSum += v
-			negN++
-		}
-	}
-	posMean, negMean := posSum/float64(posN), negSum/float64(negN)
-	if posMean < negMean+20 {
-		t.Errorf("learned score barely separates: pos %.1f vs neg %.1f", posMean, negMean)
-	}
-}
-
-func TestLearnedScoreWithClassifierThreshold(t *testing.T) {
-	// Compose: learned score + distribution-relative classification — the
-	// full "derive quality functions from examples" pipeline.
-	ts := syntheticTraining(200, false, 9)
-	score, err := LearnLinearScore(ts, ontology.Q("LearnedScore"), ontology.Q("tag/learned"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	classifier := &StatClassifier{
-		ClassIRI: ontology.Q("LearnedClassifier"),
-		Model:    ontology.PIScoreClassification,
-		Low:      ontology.ClassLow,
-		Mid:      ontology.ClassMid,
-		High:     ontology.ClassHigh,
-		Inputs:   ts.Features,
-		Fn:       score.Fn,
-	}
-	m := ts.Amap.Clone()
-	if err := classifier.Assert(m); err != nil {
-		t.Fatal(err)
-	}
-	// Every item classified; highs are predominantly true positives.
-	high, highGood := 0, 0
-	truth := map[evidence.Item]bool{}
-	for _, ex := range ts.Examples {
-		truth[ex.Item] = ex.Good
-	}
-	for _, it := range m.Items() {
-		if m.Class(it, ontology.PIScoreClassification) == ontology.ClassHigh {
-			high++
-			if truth[it] {
-				highGood++
-			}
-		}
-	}
-	if high == 0 {
-		t.Fatal("no items classified high")
-	}
-	if frac := float64(highGood) / float64(high); frac < 0.8 {
-		t.Errorf("high class purity = %.2f, want ≥ 0.8", frac)
-	}
 }
 
 func BenchmarkLearnStumps(b *testing.B) {

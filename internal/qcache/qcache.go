@@ -145,9 +145,6 @@ func New(opts Options) *Cache {
 	}
 }
 
-// Name returns the cache's telemetry label.
-func (c *Cache) Name() string { return c.name }
-
 // Len returns the number of resident (computed) entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()

@@ -138,9 +138,6 @@ func New(window time.Duration) *Cube {
 	}
 }
 
-// Window returns the cube's bucket width.
-func (c *Cube) Window() time.Duration { return c.window }
-
 func (c *Cube) bucketOf(t time.Time) int64 {
 	return t.Truncate(c.window).UnixNano()
 }

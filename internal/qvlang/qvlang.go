@@ -178,11 +178,6 @@ func Parse(data []byte) (*View, error) {
 	return &v, nil
 }
 
-// Marshal renders the view as XML.
-func (v *View) Marshal() ([]byte, error) {
-	return xml.MarshalIndent(v, "", "  ")
-}
-
 // Syntactic tag types.
 var (
 	SynScore = ontology.Q("score")

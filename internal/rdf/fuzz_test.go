@@ -1,9 +1,6 @@
 package rdf
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // FuzzParseTriple: arbitrary lines must either be rejected or round-trip
 // through the canonical rendering.
@@ -29,30 +26,6 @@ func FuzzParseTriple(f *testing.F) {
 		}
 		if again != tr {
 			t.Fatalf("round trip changed triple: %v vs %v", tr, again)
-		}
-	})
-}
-
-// FuzzReadNTriples: arbitrary documents must never panic the reader, and
-// accepted documents must re-serialise losslessly.
-func FuzzReadNTriples(f *testing.F) {
-	f.Add("<urn:a> <urn:b> \"c\" .\n# comment\n<urn:a> <urn:b> <urn:c> .\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, doc string) {
-		g, err := ReadNTriples(bytes.NewReader([]byte(doc)))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteNTriples(&buf, g); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadNTriples(&buf)
-		if err != nil {
-			t.Fatalf("canonical document does not re-parse: %v", err)
-		}
-		if back.Len() != g.Len() {
-			t.Fatalf("round trip changed size: %d vs %d", back.Len(), g.Len())
 		}
 	})
 }

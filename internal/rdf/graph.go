@@ -253,21 +253,6 @@ func (g *Graph) Clear() {
 	g.sealed = false
 }
 
-// Merge adds every triple of other into g.
-func (g *Graph) Merge(other *Graph) {
-	if other == g {
-		return
-	}
-	snap := other.Snapshot()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.prepWrite()
-	snap.v.forEachMatch(Term{}, Term{}, Term{}, func(t Triple) bool {
-		g.addLocked(t)
-		return true
-	})
-}
-
 // Clone returns an independent copy of the graph in O(1): the copy shares
 // the current index nodes copy-on-write, so writes on either side fork
 // the nodes they touch and neither graph observes the other's mutations.

@@ -1,10 +1,8 @@
 package rdf
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -167,13 +165,8 @@ func TestGraphCloneMergeClear(t *testing.T) {
 	if g.Has(T(IRI("urn:extra"), IRI("urn:p"), Literal("x"))) {
 		t.Fatal("mutating clone affected original")
 	}
-	g2 := NewGraph()
-	g2.Merge(g)
-	if g2.Len() != g.Len() {
-		t.Fatalf("merge Len = %d, want %d", g2.Len(), g.Len())
-	}
-	g2.Clear()
-	if g2.Len() != 0 || len(g2.Triples()) != 0 {
+	c.Clear()
+	if c.Len() != 0 || len(c.Triples()) != 0 {
 		t.Fatal("Clear should empty the graph")
 	}
 }
@@ -251,31 +244,18 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	mustAdd(t, g, T(Blank("b1"), IRI("urn:note"), LangLiteral("hóla", "es")))
 	mustAdd(t, g, T(IRI("urn:p1"), IRI("urn:desc"), Literal("line\nwith \"quotes\"")))
 
-	var buf bytes.Buffer
-	if err := WriteNTriples(&buf, g); err != nil {
-		t.Fatalf("WriteNTriples: %v", err)
-	}
-	back, err := ReadNTriples(&buf)
-	if err != nil {
-		t.Fatalf("ReadNTriples: %v", err)
-	}
-	if !reflect.DeepEqual(g.Triples(), back.Triples()) {
-		t.Errorf("round trip mismatch:\n got %v\nwant %v", back.Triples(), g.Triples())
+	for _, tr := range g.Triples() {
+		back, err := ParseTriple(tr.String())
+		if err != nil {
+			t.Fatalf("ParseTriple(%q): %v", tr.String(), err)
+		}
+		if back != tr {
+			t.Errorf("round trip mismatch: got %v, want %v", back, tr)
+		}
 	}
 }
 
-func TestReadNTriplesSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# comment\n\n<urn:a> <urn:b> \"c\" .\n  # indented comment\n"
-	g, err := ReadNTriples(bytes.NewReader([]byte(in)))
-	if err != nil {
-		t.Fatalf("ReadNTriples: %v", err)
-	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
-	}
-}
-
-func TestReadNTriplesErrors(t *testing.T) {
+func TestParseTripleErrors(t *testing.T) {
 	bad := []string{
 		"<urn:a> <urn:b> \"c\"",          // missing dot
 		"<urn:a> <urn:b> .",              // missing object
@@ -284,27 +264,9 @@ func TestReadNTriplesErrors(t *testing.T) {
 		"<urn:a> <urn:b> <urn:c> . junk", // trailing garbage
 	}
 	for _, s := range bad {
-		if _, err := ReadNTriples(bytes.NewReader([]byte(s))); err == nil {
-			t.Errorf("ReadNTriples(%q) should fail", s)
+		if _, err := ParseTriple(s); err == nil {
+			t.Errorf("ParseTriple(%q) should fail", s)
 		}
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	g := buildTestGraph(t)
-	path := filepath.Join(t.TempDir(), "g.nt")
-	if err := SaveFile(path, g); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	if !reflect.DeepEqual(g.Triples(), back.Triples()) {
-		t.Error("file round trip mismatch")
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.nt")); err == nil {
-		t.Error("LoadFile of missing file should fail")
 	}
 }
 

@@ -1,84 +1,9 @@
 package rdf
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 )
-
-// WriteNTriples writes the graph to w in canonical (sorted) N-Triples form.
-func WriteNTriples(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	for _, t := range g.Triples() {
-		if _, err := bw.WriteString(t.String()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadNTriples parses N-Triples from r into a new graph. Lines that are
-// empty or start with '#' are skipped. Parsing is strict about term syntax
-// but tolerant of surrounding whitespace.
-func ReadNTriples(r io.Reader) (*Graph, error) {
-	g := NewGraph()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		t, err := ParseTriple(line)
-		if err != nil {
-			return nil, fmt.Errorf("rdf: line %d: %w", lineNo, err)
-		}
-		if _, err := g.Add(t); err != nil {
-			return nil, fmt.Errorf("rdf: line %d: %w", lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// SaveFile writes the graph to path as N-Triples, atomically (write to a
-// temp file, then rename).
-func SaveFile(path string, g *Graph) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := WriteNTriples(f, g); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile reads an N-Triples file into a new graph.
-func LoadFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadNTriples(f)
-}
 
 // ParseTriple parses a single N-Triples statement (terminated by '.').
 func ParseTriple(line string) (Triple, error) {

@@ -87,30 +87,12 @@ func (s *Snapshot) ForEachMatch(sub, p, o Term, fn func(Triple) bool) {
 	s.v.forEachMatch(sub, p, o, fn)
 }
 
-// Match returns all triples matching the pattern in sorted order.
-func (s *Snapshot) Match(sub, p, o Term) []Triple { return s.v.match(sub, p, o) }
-
-// Count returns the number of triples matching the pattern.
-func (s *Snapshot) Count(sub, p, o Term) int {
-	n := 0
-	s.v.forEachMatch(sub, p, o, func(Triple) bool { n++; return true })
-	return n
-}
-
 // Cardinality returns the exact number of triples matching the pattern in
 // O(1) using the index statistics.
 func (s *Snapshot) Cardinality(sub, p, o Term) int { return s.v.cardinality(sub, p, o) }
 
 // Stats returns the snapshot's index statistics.
 func (s *Snapshot) Stats() DatasetStats { return s.v.stats() }
-
-// Subjects returns the distinct subjects of triples matching (·, p, o),
-// in sorted order.
-func (s *Snapshot) Subjects(p, o Term) []Term { return s.v.subjects(p, o) }
-
-// Objects returns the distinct objects of triples matching (s, p, ·),
-// in sorted order.
-func (s *Snapshot) Objects(sub, p Term) []Term { return s.v.objects(sub, p) }
 
 // FirstObject returns the least object of (s, p, ·) in term order, or a
 // zero Term if none exists.

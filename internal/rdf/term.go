@@ -51,7 +51,6 @@ const (
 	RDFType         = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 	RDFSSubClassOf  = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
 	RDFSLabel       = "http://www.w3.org/2000/01/rdf-schema#label"
-	RDFSComment     = "http://www.w3.org/2000/01/rdf-schema#comment"
 	RDFSDomain      = "http://www.w3.org/2000/01/rdf-schema#domain"
 	RDFSRange       = "http://www.w3.org/2000/01/rdf-schema#range"
 	OWLClass        = "http://www.w3.org/2002/07/owl#Class"

@@ -11,8 +11,8 @@ import (
 // WriteTurtle writes the graph in a compact Turtle subset: prefix
 // declarations, subject grouping with ';' separators, and 'a' for
 // rdf:type. The output is for human inspection and documentation
-// (annotation graphs, the IQ model); ReadNTriples remains the canonical
-// machine format.
+// (annotation graphs, the IQ model); N-Triples (Triple.String and
+// ParseTriple) remains the canonical machine format.
 //
 // prefixes maps prefix names to namespace IRIs (e.g. "q" →
 // "http://qurator.org/iq#"). IRIs outside every namespace are written in

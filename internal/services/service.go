@@ -338,22 +338,6 @@ func (r *Registry) Get(name string) (QualityService, bool) {
 	return s, ok
 }
 
-// FindByType returns the services whose operator class matches the IRI —
-// how the binding step locates an implementation for an abstract operator
-// class (paper §6).
-func (r *Registry) FindByType(classIRI string) []QualityService {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []QualityService
-	for _, s := range r.services {
-		if s.Describe().Type == classIRI {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Describe().Name < out[j].Describe().Name })
-	return out
-}
-
 // List returns all service descriptions sorted by name.
 func (r *Registry) List() []Info {
 	r.mu.RLock()

@@ -275,20 +275,17 @@ func TestCoreServiceDescriptions(t *testing.T) {
 	}
 }
 
-func TestRegistryFindByType(t *testing.T) {
+func TestRegistryListAndGet(t *testing.T) {
 	reg := NewRegistry()
-	reg.Add(&AssertionService{ServiceName: "s1", QA: qa.NewUniversalPIScore(ontology.Q("t1"))})
 	reg.Add(&AssertionService{ServiceName: "s2", QA: qa.NewUniversalPIScore(ontology.Q("t2"))})
+	reg.Add(&AssertionService{ServiceName: "s1", QA: qa.NewUniversalPIScore(ontology.Q("t1"))})
 	reg.Add(&ActionService{ServiceName: "act"})
-	found := reg.FindByType(ontology.UniversalPIScore2.Value())
-	if len(found) != 2 {
-		t.Fatalf("FindByType = %d services", len(found))
+	got := reg.List()
+	if len(got) != 3 {
+		t.Fatalf("List = %v", got)
 	}
-	if found[0].Describe().Name != "s1" {
-		t.Error("FindByType should sort by name")
-	}
-	if got := reg.List(); len(got) != 3 {
-		t.Errorf("List = %v", got)
+	if got[0].Name != "act" || got[1].Name != "s1" || got[2].Name != "s2" {
+		t.Errorf("List should sort by name: %v", got)
 	}
 	if _, ok := reg.Get("nope"); ok {
 		t.Error("unknown service should miss")

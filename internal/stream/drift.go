@@ -267,17 +267,6 @@ func (d *Detector) Snapshot() map[string]TrackSnapshot {
 	return out
 }
 
-// Alerts returns the total alerts fired across all metrics.
-func (d *Detector) Alerts() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for _, tr := range d.tracks {
-		n += tr.alerts
-	}
-	return n
-}
-
 // DriftRegistry collects the drift detectors of the streams a host has
 // served, keyed by view, for the GET /stream/drift endpoint. A view
 // streaming again replaces its detector (the endpoint always shows the

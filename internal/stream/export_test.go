@@ -54,3 +54,6 @@ func (e *Enactor) Plans() []compiler.Plan {
 	}
 	return out
 }
+
+// RecomputeStats is the windower's full-scan statistics over a window map.
+func RecomputeStats(m *evidence.Map) map[string]WindowStats { return recomputeStats(m) }

@@ -123,7 +123,7 @@ func TestMultiViewStreamMatchesIndependentStreams(t *testing.T) {
 
 	mv := mergeCompiled(t, identityAnnotator(), xmls...)
 	if mv.SharedPrefixes() == 0 {
-		t.Fatalf("merged stream plan shares nothing: %s", mv.Describe())
+		t.Fatalf("merged stream plan shares nothing: %v", mv.Workflow().Processors())
 	}
 	me, err := stream.NewMulti(mv, cfg)
 	if err != nil {

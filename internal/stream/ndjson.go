@@ -388,38 +388,46 @@ func digits(b []byte, i int) int {
 // line, interleaved with one window-summary line per window (after its
 // decisions). If w implements http.Flusher-style flushing via the flush
 // callback, each window is flushed as soon as it is written, so consumers
-// see decisions while the input stream is still open.
+// see decisions while the input stream is still open. After the first
+// write error it keeps draining results, so the producer never blocks on
+// a dead writer, and returns that error once results is closed.
 func WriteResults(w io.Writer, results <-chan WindowResult, flush func()) error {
 	enc := json.NewEncoder(w)
+	var err error
 	for res := range results {
-		for _, d := range res.Decisions {
-			if err := enc.Encode(d); err != nil {
-				return err
-			}
+		if err != nil {
+			continue
 		}
-		summary := struct {
-			Window     int                    `json:"window"`
-			View       string                 `json:"view,omitempty"`
-			Size       int                    `json:"size"`
-			Decided    int                    `json:"decided"`
-			Partial    bool                   `json:"partial,omitempty"`
-			Failed     bool                   `json:"failed,omitempty"`
-			Replayed   bool                   `json:"replayed,omitempty"`
-			Kind       string                 `json:"kind,omitempty"`
-			Start      int64                  `json:"start,omitempty"`
-			End        int64                  `json:"end,omitempty"`
-			Late       bool                   `json:"late,omitempty"`
-			Supersedes string                 `json:"supersedes,omitempty"`
-			Error      string                 `json:"error,omitempty"`
-			Stats      map[string]WindowStats `json:"stats,omitempty"`
-		}{res.Seq, res.View, res.Size, len(res.Decisions), res.Partial, res.Failed, res.Replayed,
-			res.Kind, res.Start, res.End, res.Late, res.Supersedes, res.Error, res.Stats}
-		if err := enc.Encode(summary); err != nil {
-			return err
-		}
-		if flush != nil {
+		if err = writeResult(enc, res); err == nil && flush != nil {
 			flush()
 		}
 	}
-	return nil
+	return err
+}
+
+// writeResult encodes one window's decisions and its summary line.
+func writeResult(enc *json.Encoder, res WindowResult) error {
+	for _, d := range res.Decisions {
+		if err := enc.Encode(d); err != nil {
+			return err
+		}
+	}
+	summary := struct {
+		Window     int                    `json:"window"`
+		View       string                 `json:"view,omitempty"`
+		Size       int                    `json:"size"`
+		Decided    int                    `json:"decided"`
+		Partial    bool                   `json:"partial,omitempty"`
+		Failed     bool                   `json:"failed,omitempty"`
+		Replayed   bool                   `json:"replayed,omitempty"`
+		Kind       string                 `json:"kind,omitempty"`
+		Start      int64                  `json:"start,omitempty"`
+		End        int64                  `json:"end,omitempty"`
+		Late       bool                   `json:"late,omitempty"`
+		Supersedes string                 `json:"supersedes,omitempty"`
+		Error      string                 `json:"error,omitempty"`
+		Stats      map[string]WindowStats `json:"stats,omitempty"`
+	}{res.Seq, res.View, res.Size, len(res.Decisions), res.Partial, res.Failed, res.Replayed,
+		res.Kind, res.Start, res.End, res.Late, res.Supersedes, res.Error, res.Stats}
+	return enc.Encode(summary)
 }

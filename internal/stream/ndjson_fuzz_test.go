@@ -138,8 +138,7 @@ func encodeTestItem(t *testing.T, it Item) []byte {
 		var raw []byte
 		switch v.Kind() {
 		case evidence.KindInt:
-			n, _ := v.AsInt()
-			raw = strconv.AppendInt(nil, n, 10)
+			raw = []byte(v.AsString())
 		case evidence.KindFloat:
 			f, _ := v.AsFloat()
 			raw = strconv.AppendFloat(nil, f, 'e', -1, 64)

@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -116,6 +117,18 @@ type WindowStats struct {
 	Hi float64 `json:"hi"`
 }
 
+// finite reports whether every figure of s is a finite number. A column
+// whose values overflow float64 (say 1e308 beside -1e308) has an infinite
+// or NaN mean or stddev, which JSON cannot encode.
+func (s WindowStats) finite() bool {
+	for _, f := range [...]float64{s.Mean, s.StdDev, s.Lo, s.Hi} {
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return false
+		}
+	}
+	return true
+}
+
 // WindowResult is one enacted window: the decisions for its newly-decided
 // items (in arrival order) and the per-key statistics of the window.
 type WindowResult struct {
@@ -166,7 +179,8 @@ type WindowResult struct {
 	// Stats maps annotation-map key IRIs (QA score tags, plus inline
 	// numeric evidence types) to their window statistics. Tag statistics
 	// are computed from the enacted window; evidence statistics are
-	// maintained incrementally by the windower (Welford add/remove).
+	// maintained incrementally by the windower (Welford add/remove). A
+	// key whose mean, stddev or thresholds are not finite is left out.
 	Stats map[string]WindowStats `json:"stats,omitempty"`
 }
 
@@ -759,13 +773,15 @@ func deriveResult(sv streamView, outputs map[string]*evidence.Map, j windowJob, 
 		if acc.N() == 0 {
 			continue
 		}
+		lo, hi := acc.Thresholds()
+		st := WindowStats{N: acc.N(), Mean: acc.Mean(), StdDev: acc.StdDev(), Lo: lo, Hi: hi}
+		if !st.finite() {
+			continue
+		}
 		if res.Stats == nil {
 			res.Stats = make(map[string]WindowStats)
 		}
-		lo, hi := acc.Thresholds()
-		res.Stats[tag.Value()] = WindowStats{
-			N: acc.N(), Mean: acc.Mean(), StdDev: acc.StdDev(), Lo: lo, Hi: hi,
-		}
+		res.Stats[tag.Value()] = st
 	}
 	return res
 }

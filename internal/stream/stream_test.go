@@ -1,7 +1,9 @@
 package stream_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -521,4 +523,145 @@ func TestBackpressure(t *testing.T) {
 	for range out {
 	}
 	<-done
+}
+
+// poisonFeed is NDJSON for n paper-view items whose first two carry
+// q:HitRatio values of ±1e308: their Welford variance overflows float64.
+func poisonFeed(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		hr := "0.9"
+		switch i {
+		case 0:
+			hr = "1e308"
+		case 1:
+			hr = "-1e308"
+		}
+		fmt.Fprintf(&b, `{"item":%q,"evidence":{"q:HitRatio":%s,"q:Coverage":0.8,"q:Masses":12,"q:PeptidesCount":8}}`+"\n",
+			hit(i).Value(), hr)
+	}
+	return b.String()
+}
+
+// TestExtremeEvidenceDoesNotStallStream: a window whose evidence
+// overflows the running statistics leaves those keys out of its summary,
+// so the summary still encodes and the stream decides every later item.
+func TestExtremeEvidenceDoesNotStallStream(t *testing.T) {
+	const n = 2000
+	e, err := stream.New(compilePaperView(t), stream.Config{Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make(chan stream.Item)
+	out := make(chan stream.WindowResult)
+	readErr := make(chan error, 1)
+	runErr := make(chan error, 1)
+	go func() { readErr <- stream.ReadItems(strings.NewReader(poisonFeed(n)), in) }()
+	go func() { runErr <- e.Run(context.Background(), in, out) }()
+	var buf bytes.Buffer
+	if err := stream.WriteResults(&buf, out, nil); err != nil {
+		t.Fatalf("WriteResults: %v", err)
+	}
+	if err := <-runErr; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := <-readErr; err != nil {
+		t.Fatalf("ReadItems: %v", err)
+	}
+
+	type line struct {
+		Item    string                        `json:"item"`
+		Window  *int                          `json:"window"`
+		Decided *int                          `json:"decided"`
+		Stats   map[string]stream.WindowStats `json:"stats"`
+	}
+	decided := map[string]bool{}
+	var summaries []line
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var l line
+		if err := dec.Decode(&l); err != nil {
+			t.Fatal(err)
+		}
+		if l.Decided != nil {
+			summaries = append(summaries, l)
+		} else {
+			decided[l.Item] = true
+		}
+	}
+	if len(decided) != n {
+		t.Errorf("decided %d items, want %d", len(decided), n)
+	}
+	if len(summaries) != n/2 {
+		t.Fatalf("got %d window summaries, want %d", len(summaries), n/2)
+	}
+	if _, ok := summaries[0].Stats[ontology.HitRatio.Value()]; ok {
+		t.Errorf("window 0 reports overflowed q:HitRatio stats: %+v", summaries[0].Stats)
+	}
+
+	// Window 1 holds items 2 and 3; its inline-evidence statistics are
+	// those of a full scan of its map.
+	m := evidence.NewMap()
+	for i := 2; i < 4; i++ {
+		m.AddItem(hit(i))
+		m.Set(hit(i), ontology.HitRatio, evidence.Float(0.9))
+		m.Set(hit(i), ontology.Coverage, evidence.Float(0.8))
+		m.Set(hit(i), ontology.Masses, evidence.Int(12))
+		m.Set(hit(i), ontology.PeptidesCount, evidence.Int(8))
+	}
+	want := stream.RecomputeStats(m)
+	if len(want) != 4 {
+		t.Fatalf("full scan stats = %v, want 4 keys", want)
+	}
+	got := summaries[1].Stats
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok || g.N != w.N || !approx(g.Mean, w.Mean) || !approx(g.StdDev, w.StdDev) ||
+			!approx(g.Lo, w.Lo) || !approx(g.Hi, w.Hi) {
+			t.Errorf("window 1 stats[%s] = %+v, want %+v", k, g, w)
+		}
+	}
+}
+
+// failingWriter fails every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("peer gone") }
+
+// TestWriteResultsFailureLetsRunFinish: once the writer fails, WriteResults
+// keeps draining, so Run is never left blocked sending a result.
+func TestWriteResultsFailureLetsRunFinish(t *testing.T) {
+	e, err := stream.New(compilePaperView(t), stream.Config{Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make(chan stream.Item)
+	out := make(chan stream.WindowResult)
+	runErr := make(chan error, 1)
+	writeErr := make(chan error, 1)
+	go func() { runErr <- e.Run(context.Background(), in, out) }()
+	go func() { writeErr <- stream.WriteResults(failingWriter{}, out, nil) }()
+	go func() {
+		defer close(in)
+		for i := 0; i < 20; i++ {
+			in <- stream.Item{ID: hit(i)}
+		}
+	}()
+	watchdog := time.After(30 * time.Second)
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-watchdog:
+		t.Fatal("Run is still blocked after the writer failed")
+	}
+	select {
+	case err := <-writeErr:
+		if err == nil || !strings.Contains(err.Error(), "peer gone") {
+			t.Fatalf("WriteResults = %v, want the writer's error", err)
+		}
+	case <-watchdog:
+		t.Fatal("WriteResults did not return")
+	}
 }

@@ -564,26 +564,30 @@ func rebuildAccsFrom(m *evidence.Map) map[evidence.Key]*evidence.Accumulator {
 	return accs
 }
 
-// snapshotAccs freezes the accumulators into job statistics.
+// snapshotAccs freezes the accumulators into job statistics, leaving out
+// keys whose statistics are not finite.
 func snapshotAccs(accs map[evidence.Key]*evidence.Accumulator) map[string]WindowStats {
 	var out map[string]WindowStats
 	for k, acc := range accs {
 		if acc.N() == 0 {
 			continue
 		}
+		lo, hi := acc.Thresholds()
+		st := WindowStats{N: acc.N(), Mean: acc.Mean(), StdDev: acc.StdDev(), Lo: lo, Hi: hi}
+		if !st.finite() {
+			continue
+		}
 		if out == nil {
 			out = make(map[string]WindowStats, len(accs))
 		}
-		lo, hi := acc.Thresholds()
-		out[k.Value()] = WindowStats{
-			N: acc.N(), Mean: acc.Mean(), StdDev: acc.StdDev(), Lo: lo, Hi: hi,
-		}
+		out[k.Value()] = st
 	}
 	return out
 }
 
 // recomputeStats derives window statistics by a full scan of a window
-// map — the project and re-fire paths, which no accumulator tracks.
+// map — the project and re-fire paths, which no accumulator tracks. Like
+// snapshotAccs it leaves out keys whose statistics are not finite.
 func recomputeStats(m *evidence.Map) map[string]WindowStats {
 	var out map[string]WindowStats
 	for _, k := range m.Keys() {
@@ -591,13 +595,17 @@ func recomputeStats(m *evidence.Map) map[string]WindowStats {
 		if st.N == 0 {
 			continue
 		}
-		if out == nil {
-			out = make(map[string]WindowStats)
-		}
-		out[k.Value()] = WindowStats{
+		ws := WindowStats{
 			N: st.N, Mean: st.Mean, StdDev: st.StdDev,
 			Lo: st.Mean - st.StdDev, Hi: st.Mean + st.StdDev,
 		}
+		if !ws.finite() {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]WindowStats)
+		}
+		out[k.Value()] = ws
 	}
 	return out
 }

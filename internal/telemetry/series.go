@@ -34,13 +34,6 @@ func (s *Series) Append(v float64) {
 	}
 }
 
-// Len returns the number of retained observations.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // Snapshot returns the retained observations, oldest first.
 func (s *Series) Snapshot() []float64 {
 	s.mu.Lock()

@@ -387,20 +387,6 @@ func (t *Trace) add(e Event) {
 	t.Events = append(t.Events, e)
 }
 
-// Completed returns the processors that completed successfully, in
-// completion order.
-func (t *Trace) Completed() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []string
-	for _, e := range t.Events {
-		if e.Err == nil {
-			out = append(out, e.Processor)
-		}
-	}
-	return out
-}
-
 // Execute implements Processor, so workflows nest.
 func (w *Workflow) Execute(ctx context.Context, in Ports) (Ports, error) {
 	return w.Run(ctx, in)

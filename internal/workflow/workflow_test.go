@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -351,10 +350,8 @@ func TestRunTraceRecordsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	completed := trace.Completed()
-	sort.Strings(completed)
-	if len(completed) != 3 {
-		t.Fatalf("completed = %v", completed)
+	if len(trace.Events) != 3 {
+		t.Fatalf("events = %v", trace.Events)
 	}
 	// add must complete after its producers.
 	idx := map[string]int{}
@@ -365,6 +362,9 @@ func TestRunTraceRecordsEvents(t *testing.T) {
 		t.Errorf("trace order wrong: %v", trace.Events)
 	}
 	for _, e := range trace.Events {
+		if e.Err != nil {
+			t.Errorf("%s failed: %v", e.Processor, e.Err)
+		}
 		if e.End.Before(e.Start) {
 			t.Error("event end before start")
 		}

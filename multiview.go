@@ -1,7 +1,6 @@
 package qurator
 
 import (
-	"context"
 	"fmt"
 
 	"qurator/internal/compiler"
@@ -9,10 +8,11 @@ import (
 
 // Multi-view enactment (multi-query optimization): a fleet registering
 // thousands of views pays N× for prefixes the views share — the same
-// annotators, the same enrichment, the same QA services. MergeViews
-// fingerprints the compiled subgraphs and enacts shared prefixes once,
-// fanning per-view actions out from the shared consolidation, with
-// per-view outputs bit-identical to independent enactment.
+// annotators, the same enrichment, the same QA services. CompileViewSet
+// merges the compiled views (compiler.MergeViews): it fingerprints the
+// compiled subgraphs and enacts shared prefixes once, fanning per-view
+// actions out from the shared consolidation, with per-view outputs
+// bit-identical to independent enactment.
 
 type (
 	// MultiView is a set of compiled views merged into one enactable plan.
@@ -21,15 +21,11 @@ type (
 	ViewResult = compiler.ViewResult
 )
 
-// MergeViews merges compiled views into one plan with shared prefixes
-// deduplicated (see compiler.MergeViews for the merge-safety rules).
-func MergeViews(views ...*Compiled) (*MultiView, error) {
-	return compiler.MergeViews(views...)
-}
-
 // CompileViewSet compiles each view XML with the framework's resilience
-// and data-plane settings and merges the results into one plan. View
-// names must be unique within the set.
+// and data-plane settings and merges the results into one plan (see
+// compiler.MergeViews for the merge-safety rules). View names must be
+// unique within the set. MultiView.Enact runs the plan and reports each
+// view's outputs or error.
 func (f *Framework) CompileViewSet(viewXMLs ...[]byte) (*MultiView, error) {
 	views := make([]*Compiled, 0, len(viewXMLs))
 	for i, xml := range viewXMLs {
@@ -40,30 +36,4 @@ func (f *Framework) CompileViewSet(viewXMLs ...[]byte) (*MultiView, error) {
 		views = append(views, c)
 	}
 	return compiler.MergeViews(views...)
-}
-
-// ExecuteViewSet compiles, merges and enacts a view set over a data set
-// in one call, clearing per-run caches first. The result is keyed by
-// view name, then by output name ("<action>:<port>"), exactly as if each
-// view had been executed independently. Any single view's failure fails
-// the call; use CompileViewSet + MultiView.Enact to observe per-view
-// errors.
-func (f *Framework) ExecuteViewSet(ctx context.Context, viewXMLs [][]byte, items []Item) (map[string]map[string]*Map, error) {
-	mv, err := f.CompileViewSet(viewXMLs...)
-	if err != nil {
-		return nil, err
-	}
-	f.Repositories.ClearCaches()
-	res, err := mv.Enact(ctx, items)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]*Map, len(res))
-	for name, vr := range res {
-		if vr.Err != nil {
-			return nil, vr.Err
-		}
-		out[name] = vr.Outputs
-	}
-	return out, nil
 }

@@ -51,9 +51,6 @@ type (
 	// DegradedMode selects the routing of undecided items after a
 	// quality service failed mid-enactment.
 	DegradedMode = compiler.DegradedMode
-	// FailureLog collects the failures survived during one enactment;
-	// attach one with WithFailureLog to observe what degraded.
-	FailureLog = compiler.FailureLog
 )
 
 const (
@@ -74,14 +71,6 @@ const QuarantineOutput = compiler.QuarantineOutput
 // item whose routing was decided by policy rather than by evidence; its
 // value names the failed quality service.
 var DegradedEvidence = compiler.DegradedEvidence
-
-// NewFailureLog, WithFailureLog and FailureLogFrom re-export the
-// degraded-run observation API.
-var (
-	NewFailureLog  = compiler.NewFailureLog
-	WithFailureLog = compiler.WithFailureLog
-	FailureLogFrom = compiler.FailureLogFrom
-)
 
 // ParseDegradedMode parses "off", "fail-closed", "fail-open" or
 // "quarantine".
