@@ -95,7 +95,6 @@ var apiKeep = map[string]keepReason{
 	"internal/annotstore.Repository.Source":        keepObserve,
 	"internal/annotstore.Repository.TypesOf":       keepObserve,
 	"internal/annotstore.Repository.Graph":         keepObserve,
-	"internal/annotstore.Repository.Err":           keepObserve,
 	"internal/binding.Registry.Concepts":           keepObserve,
 	"internal/cluster.Node.Ring":                   keepObserve,
 	"internal/cluster.Ring.Len":                    keepObserve,
@@ -105,7 +104,6 @@ var apiKeep = map[string]keepReason{
 	"internal/mstore.Store.Snapshot":               keepObserve,
 	"internal/mstore.Store.Len":                    keepObserve,
 	"internal/mstore.Store.Stats":                  keepObserve,
-	"internal/provenance.Log.Err":                  keepObserve,
 	"internal/provenance.Log.Durable":              keepObserve,
 	"internal/provenance.Log.Superseded":           keepObserve,
 	"internal/provenance.Log.LastRun":              keepObserve,

@@ -14,35 +14,16 @@ import (
 // The cube experiment measures the daQ quality cube's pre-aggregated
 // rollups against the representation they summarise: raw daq:Observation
 // facts in an RDF graph sliced by a SPARQL scan, with the aggregate
-// folded caller-side. An equivalence tripwire asserts that every cube
-// slice matches the scan's count/sum/min/max before the speedup is
-// reported.
+// folded caller-side. An equivalence check asserts that every cube
+// slice matches the scan's count/sum/min/max; at full size a second check
+// holds every slice shape's speedup to at least cubeMinSpeedup.
 
-// cubeQueryRun is the measured outcome for one slice shape.
-type cubeQueryRun struct {
-	Name  string `json:"name"`
-	Count int64  `json:"count"`
-	// CubeUS is the rollup path: O(windows) merge, no graph touch.
-	CubeUS float64 `json:"cube_us"`
-	// SPARQLUS is the baseline: pattern-match the full graph, fold rows.
-	SPARQLUS float64 `json:"sparql_us"`
-	Speedup  float64 `json:"speedup"`
-}
-
-// cubeRecord is the BENCH_cube.json schema.
-type cubeRecord struct {
-	Experiment   string         `json:"experiment"`
-	Observations int            `json:"observations"`
-	Triples      int            `json:"triples"`
-	WindowMS     int64          `json:"window_ms"`
-	Repeats      int            `json:"repeats"`
-	Queries      []cubeQueryRun `json:"queries"`
-	// MinSpeedup/MeanSpeedup summarize cube-vs-scan across slice shapes.
-	MinSpeedup  float64                    `json:"min_speedup"`
-	MeanSpeedup float64                    `json:"mean_speedup"`
-	Equivalent  bool                       `json:"equivalent"`
-	Metrics     []telemetry.MetricSnapshot `json:"metrics"`
-}
+// cubeObs is the observation count of the full-size run, and
+// cubeMinSpeedup the speedup every slice shape must reach over it.
+const (
+	cubeObs        = 100_000
+	cubeMinSpeedup = 10
+)
 
 var cubeT0 = time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 
@@ -92,7 +73,7 @@ func cubeAggEqual(a, b qcube.Agg) bool {
 		math.Abs(a.Min-b.Min) < eps && math.Abs(a.Max-b.Max) < eps
 }
 
-func measureCube(n, repeats int) (*cubeRecord, error) {
+func measureCube(n, repeats int) (*record, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -106,14 +87,10 @@ func measureCube(n, repeats int) (*cubeRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	record := &cubeRecord{
-		Experiment:   "cube",
-		Observations: n,
-		Triples:      graph.Len(),
-		WindowMS:     window.Milliseconds(),
-		Repeats:      repeats,
-		Equivalent:   true,
-	}
+	rec := newRecord("cube", map[string]any{
+		"observations": n, "window_ms": window.Milliseconds(), "repeats": repeats,
+	})
+	rec.metric("triples", "count", float64(graph.Len()), 1)
 
 	// Window-aligned bounds make the cube's bucket-granular range and the
 	// scan's raw-timestamp FILTER select identical observations.
@@ -137,22 +114,21 @@ func measureCube(n, repeats int) (*cubeRecord, error) {
 		}},
 	}
 
+	equivalent := true
+	var speedups []float64
 	for _, qc := range queries {
-		run := cubeQueryRun{Name: qc.name}
 		var slice qcube.SliceResult
-
-		cubeUS, err := timeBest(repeats, func() error {
+		cubeMS, err := timeBest(repeats, func() error {
 			slice = cube.Slice(qc.q)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		run.CubeUS = cubeUS * 1000 // timeBest reports ms
 
 		query := qcube.SliceSPARQL(qc.q)
 		var scan qcube.Agg
-		sparqlUS, err := timeBest(repeats, func() error {
+		sparqlMS, err := timeBest(repeats, func() error {
 			res, err := sparql.Exec(graph, query)
 			if err != nil {
 				return err
@@ -163,54 +139,32 @@ func measureCube(n, repeats int) (*cubeRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("query %s: %w", qc.name, err)
 		}
-		run.SPARQLUS = sparqlUS * 1000
 
 		if !cubeAggEqual(slice.Agg, scan) {
-			record.Equivalent = false
+			equivalent = false
 		}
 		if slice.Agg.Count == 0 {
 			return nil, fmt.Errorf("query %s: degenerate slice selected nothing", qc.name)
 		}
-		run.Count = slice.Agg.Count
-		if run.CubeUS > 0 {
-			run.Speedup = run.SPARQLUS / run.CubeUS
+		// The rollup is an O(windows) merge that touches no graph; the
+		// baseline pattern-matches the full graph and folds the rows.
+		cubeUS, sparqlUS := cubeMS*1000, sparqlMS*1000 // timeBest reports ms
+		speedup := 0.0
+		if cubeUS > 0 {
+			speedup = sparqlUS / cubeUS
 		}
-		record.Queries = append(record.Queries, run)
+		speedups = append(speedups, speedup)
+		rec.metric(qc.name+"/count", "observations", float64(slice.Agg.Count), 1)
+		rec.metric(qc.name+"/cube_us", "us", cubeUS, repeats)
+		rec.metric(qc.name+"/sparql_us", "us", sparqlUS, repeats)
+		rec.metric(qc.name+"/speedup", "x", speedup, repeats)
 	}
-
-	for i, qr := range record.Queries {
-		if i == 0 || qr.Speedup < record.MinSpeedup {
-			record.MinSpeedup = qr.Speedup
-		}
-		record.MeanSpeedup += qr.Speedup
+	minSpeedup := speedupSummary(rec, speedups)
+	rec.check("equivalent", equivalent, "every cube slice equals the SPARQL scan's count/sum/min/max")
+	if n >= cubeObs {
+		rec.check("min_speedup", minSpeedup >= cubeMinSpeedup,
+			"min speedup %.1fx, want >= %dx over %d observations", minSpeedup, cubeMinSpeedup, n)
 	}
-	record.MeanSpeedup /= float64(len(record.Queries))
-	record.Metrics = telemetry.Default.Snapshot()
-	return record, nil
-}
-
-func runCube(n, repeats int, benchOut string) {
-	record, err := measureCube(n, repeats)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("Quality cube — pre-aggregated rollups vs SPARQL scan (%d observations, %d triples)\n",
-		record.Observations, record.Triples)
-	fmt.Printf("%-16s %8s %12s %14s %9s\n", "slice", "count", "cube µs", "sparql µs", "speedup")
-	for _, qr := range record.Queries {
-		fmt.Printf("%-16s %8d %12.1f %14.1f %8.1fx\n",
-			qr.Name, qr.Count, qr.CubeUS, qr.SPARQLUS, qr.Speedup)
-	}
-	if !record.Equivalent {
-		fatal(fmt.Errorf("cube slices diverged from the SPARQL scan aggregates"))
-	}
-	fmt.Println("all slices identical to the scan baseline")
-	if benchOut == "" {
-		fmt.Println()
-		return
-	}
-	if err := writeJSON(benchOut, record); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("benchmark record written to %s\n\n", benchOut)
+	rec.Registry = telemetry.Default.Snapshot()
+	return rec, nil
 }

@@ -3,9 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -17,41 +15,16 @@ import (
 // The data-plane experiment compares serial, sharded and sharded+cached
 // enactment of the §5.1 view embedded in the Figure-1 host workflow, over
 // one identical world. It is the Figure-7 wall-clock story re-told along
-// the shard-count axis, with a built-in tripwire: any configuration whose
-// outputs are not bit-identical to the serial run fails the experiment.
+// the shard-count axis, with a built-in tripwire: the "equivalent" check
+// fails if any configuration's outputs are not bit-identical to the
+// serial run.
 
 // dataPlaneConfig is one point on the shard/cache grid.
 type dataPlaneConfig struct {
 	Name        string `json:"name"`
-	ShardSize   int    `json:"shardSize"`
-	MaxInflight int    `json:"maxInflight"`
+	ShardSize   int    `json:"shard_size"`
+	MaxInflight int    `json:"max_inflight"`
 	Cache       bool   `json:"cache"`
-}
-
-// dataPlaneRun is the measured outcome for one configuration.
-type dataPlaneRun struct {
-	dataPlaneConfig
-	// RunsMS are per-repeat wall-clock times, in run order: with a cache,
-	// the first entry is the cold run and the rest are warm.
-	RunsMS []float64 `json:"runs_ms"`
-	BestMS float64   `json:"best_ms"`
-	MeanMS float64   `json:"mean_ms"`
-	// CacheHits/CacheMisses total over all repeats (zero without -cache).
-	CacheHits   uint64 `json:"cacheHits"`
-	CacheMisses uint64 `json:"cacheMisses"`
-	// Accepted is the number of identifications surviving the view —
-	// identical across configurations by construction.
-	Accepted int `json:"accepted"`
-}
-
-// dataPlaneRecord is the BENCH_dataplane.json schema.
-type dataPlaneRecord struct {
-	Experiment string                     `json:"experiment"`
-	World      ispider.WorldParams        `json:"world"`
-	Repeats    int                        `json:"repeats"`
-	Configs    []dataPlaneRun             `json:"configs"`
-	Equivalent bool                       `json:"equivalent"`
-	Metrics    []telemetry.MetricSnapshot `json:"metrics"`
 }
 
 func dataPlaneGrid() []dataPlaneConfig {
@@ -82,17 +55,18 @@ func fingerprint(out *ispider.RunOutput) (string, error) {
 	return b.String(), nil
 }
 
-// measureDataPlane runs the full grid and assembles the benchmark record.
-func measureDataPlane(world *ispider.World, repeats int) (*dataPlaneRecord, error) {
+// measureDataPlane runs the full grid and assembles the record: per
+// configuration the best and mean wall-clock over the repeats, the
+// accepted count (identical across configurations by construction) and,
+// with a cache, hits and misses totalled over all repeats.
+func measureDataPlane(world *ispider.World, repeats int) (*record, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	record := &dataPlaneRecord{
-		Experiment: "dataplane",
-		World:      world.Params,
-		Repeats:    repeats,
-		Equivalent: true,
-	}
+	rec := newRecord("dataplane", map[string]any{
+		"world": world.Params, "repeats": repeats, "grid": dataPlaneGrid(),
+	})
+	equivalent := true
 	var serialPrint string
 	for _, cfg := range dataPlaneGrid() {
 		var cache *qcache.Cache
@@ -111,7 +85,8 @@ func measureDataPlane(world *ispider.World, repeats int) (*dataPlaneRecord, erro
 		if err := p.Compiled.SetFilterCondition("filter top k score", "ScoreClass in q:high"); err != nil {
 			return nil, err
 		}
-		run := dataPlaneRun{dataPlaneConfig: cfg, RunsMS: make([]float64, 0, repeats)}
+		var best, sum float64
+		accepted := 0
 		for r := 0; r < repeats; r++ {
 			start := time.Now()
 			out, err := p.Run(context.Background())
@@ -119,7 +94,10 @@ func measureDataPlane(world *ispider.World, repeats int) (*dataPlaneRecord, erro
 				return nil, fmt.Errorf("config %s run %d: %w", cfg.Name, r, err)
 			}
 			ms := float64(time.Since(start).Microseconds()) / 1000
-			run.RunsMS = append(run.RunsMS, ms)
+			if r == 0 || ms < best {
+				best = ms
+			}
+			sum += ms
 			print, err := fingerprint(out)
 			if err != nil {
 				return nil, err
@@ -127,62 +105,20 @@ func measureDataPlane(world *ispider.World, repeats int) (*dataPlaneRecord, erro
 			if serialPrint == "" {
 				serialPrint = print
 			} else if print != serialPrint {
-				record.Equivalent = false
+				equivalent = false
 			}
-			run.Accepted = out.Accepted.Len()
+			accepted = out.Accepted.Len()
 		}
-		run.BestMS = run.RunsMS[0]
-		for _, ms := range run.RunsMS {
-			if ms < run.BestMS {
-				run.BestMS = ms
-			}
-			run.MeanMS += ms
-		}
-		run.MeanMS /= float64(len(run.RunsMS))
+		rec.metric(cfg.Name+"/best_ms", "ms", best, repeats)
+		rec.metric(cfg.Name+"/mean_ms", "ms", sum/float64(repeats), repeats)
+		rec.metric(cfg.Name+"/accepted", "items", float64(accepted), repeats)
 		if cache != nil {
 			s := cache.Stats()
-			run.CacheHits, run.CacheMisses = s.Hits, s.Misses
+			rec.metric(cfg.Name+"/cache_hits", "count", float64(s.Hits), repeats)
+			rec.metric(cfg.Name+"/cache_misses", "count", float64(s.Misses), repeats)
 		}
-		record.Configs = append(record.Configs, run)
 	}
-	record.Metrics = telemetry.Default.Snapshot()
-	return record, nil
-}
-
-func writeDataPlaneRecord(path string, record *dataPlaneRecord) error {
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func runDataPlane(world *ispider.World, benchOut string, repeats int) {
-	record, err := measureDataPlane(world, repeats)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println("Data plane — shard-parallel invocation and response caching (§5.1 view over the Figure-1 world)")
-	fmt.Printf("%-14s %8s %8s %6s %10s %10s %9s\n",
-		"config", "best ms", "mean ms", "kept", "hits", "misses", "hit rate")
-	for _, run := range record.Configs {
-		rate := "-"
-		if run.CacheHits+run.CacheMisses > 0 {
-			rate = fmt.Sprintf("%.0f%%", 100*float64(run.CacheHits)/float64(run.CacheHits+run.CacheMisses))
-		}
-		fmt.Printf("%-14s %8.2f %8.2f %6d %10d %10d %9s\n",
-			run.Name, run.BestMS, run.MeanMS, run.Accepted, run.CacheHits, run.CacheMisses, rate)
-	}
-	if !record.Equivalent {
-		fatal(fmt.Errorf("data-plane outputs diverged from the serial enactment"))
-	}
-	fmt.Println("all configurations bit-identical to serial enactment")
-	if benchOut == "" {
-		fmt.Println()
-		return
-	}
-	if err := writeDataPlaneRecord(benchOut, record); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("benchmark record written to %s\n\n", benchOut)
+	rec.check("equivalent", equivalent, "every configuration's outputs bit-identical to serial enactment")
+	rec.Registry = telemetry.Default.Snapshot()
+	return rec, nil
 }

@@ -1,10 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"qurator/internal/ispider"
@@ -23,74 +19,59 @@ func smallWorld(t *testing.T) *ispider.World {
 }
 
 // TestDataPlaneRecordSchema runs the grid over a small world and checks
-// the BENCH_dataplane.json record is well-formed: every field the bench
+// the BENCH_dataplane.json record is well-formed: every metric the bench
 // trajectory consumes is present, no unknown fields sneak in, and the
 // equivalence tripwire reports bit-identical outputs.
 func TestDataPlaneRecordSchema(t *testing.T) {
 	world := smallWorld(t)
-	record, err := measureDataPlane(world, 2)
+	const repeats = 2
+	record, err := measureDataPlane(world, repeats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !record.Equivalent {
+	if !passed(t, record, "equivalent") {
 		t.Fatal("sharded/cached configurations diverged from serial enactment")
 	}
 	if record.Experiment != "dataplane" {
 		t.Fatalf("experiment = %q", record.Experiment)
 	}
-	if len(record.Configs) != len(dataPlaneGrid()) {
-		t.Fatalf("%d configs, want %d", len(record.Configs), len(dataPlaneGrid()))
-	}
+	grid := dataPlaneGrid()
 	var sawSerial, sawSharded, sawCached bool
-	for _, run := range record.Configs {
-		if len(run.RunsMS) != record.Repeats {
-			t.Errorf("config %s: %d runs, want %d", run.Name, len(run.RunsMS), record.Repeats)
+	serialAccepted := metricOf(t, record, grid[0].Name+"/accepted").Value
+	for _, cfg := range grid {
+		best, mean := metricOf(t, record, cfg.Name+"/best_ms"), metricOf(t, record, cfg.Name+"/mean_ms")
+		if best.Samples != repeats || mean.Samples != repeats {
+			t.Errorf("config %s: %d/%d samples, want %d", cfg.Name, best.Samples, mean.Samples, repeats)
 		}
-		for _, ms := range run.RunsMS {
-			if ms < 0 {
-				t.Errorf("config %s: negative wall-clock %f", run.Name, ms)
-			}
+		// The best run is the fastest, so a non-negative best means no
+		// run's wall-clock was negative.
+		if best.Value < 0 {
+			t.Errorf("config %s: negative wall-clock %f", cfg.Name, best.Value)
 		}
-		if run.BestMS > run.MeanMS {
-			t.Errorf("config %s: best %f > mean %f", run.Name, run.BestMS, run.MeanMS)
+		if best.Value > mean.Value {
+			t.Errorf("config %s: best %f > mean %f", cfg.Name, best.Value, mean.Value)
 		}
-		if run.Accepted != record.Configs[0].Accepted {
-			t.Errorf("config %s accepted %d items, serial accepted %d",
-				run.Name, run.Accepted, record.Configs[0].Accepted)
+		if a := metricOf(t, record, cfg.Name+"/accepted").Value; a != serialAccepted {
+			t.Errorf("config %s accepted %v items, serial accepted %v", cfg.Name, a, serialAccepted)
 		}
 		switch {
-		case run.ShardSize == 0 && !run.Cache:
+		case cfg.ShardSize == 0 && !cfg.Cache:
 			sawSerial = true
-		case run.Cache:
+		case cfg.Cache:
 			sawCached = true
-			if run.CacheHits == 0 {
-				t.Errorf("config %s: repeated runs produced no cache hits", run.Name)
+			if metricOf(t, record, cfg.Name+"/cache_hits").Value == 0 {
+				t.Errorf("config %s: repeated runs produced no cache hits", cfg.Name)
 			}
-		case run.ShardSize > 1:
+		case cfg.ShardSize > 1:
 			sawSharded = true
+		}
+		if hasMetric(record, cfg.Name+"/cache_hits") != cfg.Cache {
+			t.Errorf("config %s: cache metrics present = %v, cache = %v", cfg.Name, !cfg.Cache, cfg.Cache)
 		}
 	}
 	if !sawSerial || !sawSharded || !sawCached {
-		t.Fatalf("grid must cover serial, sharded and cached configurations: %+v", record.Configs)
+		t.Fatalf("grid must cover serial, sharded and cached configurations: %+v", grid)
 	}
 
-	// The on-disk record round-trips strictly: unknown fields in the file
-	// (schema drift) fail the decode.
-	path := filepath.Join(t.TempDir(), "BENCH_dataplane.json")
-	if err := writeDataPlaneRecord(path, record); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var back dataPlaneRecord
-	if err := dec.Decode(&back); err != nil {
-		t.Fatalf("strict decode of %s: %v", path, err)
-	}
-	if back.Experiment != record.Experiment || len(back.Configs) != len(record.Configs) {
-		t.Fatal("record did not round-trip")
-	}
+	roundTrip(t, record)
 }

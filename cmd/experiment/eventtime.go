@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -38,27 +37,13 @@ import (
 //     from a chosen index on) must raise a drift alert within a bounded
 //     number of windows of the injection.
 
-// etRecord is the BENCH_eventtime.json schema.
-type etRecord struct {
-	Experiment  string `json:"experiment"`
-	Items       int    `json:"items"`
-	CountWindow int    `json:"countWindow"`
-	SpacingMS   int64  `json:"spacing_ms"`
-	// Equivalence tripwire (in-order feed, zero lateness).
-	Equivalent bool `json:"equivalent"`
-	Windows    int  `json:"windows"`
-	// Out-of-order feed.
-	Superseded  int  `json:"supersededEmissions"`
-	LateDecided bool `json:"lateItemDecided"`
-	// Drift detection.
-	DriftInjectedAtWindow int  `json:"driftInjectedAtWindow"`
-	DriftAlertWindow      int  `json:"driftAlertWindow"`
-	DriftLagWindows       int  `json:"driftLagWindows"`
-	DriftMaxLag           int  `json:"driftMaxLag"`
-	DriftAlerted          bool `json:"driftAlerted"`
-
-	Metrics []telemetry.MetricSnapshot `json:"metrics"`
-}
+// The full-size feed: etItems items spaced etSpacing apart in event
+// time, windows of etWindow items.
+const (
+	etItems   = 64
+	etWindow  = 8
+	etSpacing = 10 * time.Millisecond
+)
 
 // etMaxDriftLag is the acceptance bound: a collapse of the accept rate
 // must be flagged within this many windows of the injection.
@@ -203,15 +188,11 @@ func etFeed(n int, spacing time.Duration, order []int) []stream.Item {
 	return items
 }
 
-func measureEventTime(items, window int, spacing time.Duration) (*etRecord, error) {
+func measureEventTime(items, window int, spacing time.Duration) (*record, error) {
 	weakOdd := func(i int) bool { return i%2 == 1 }
-	record := &etRecord{
-		Experiment:  "eventtime",
-		Items:       items,
-		CountWindow: window,
-		SpacingMS:   spacing.Milliseconds(),
-		DriftMaxLag: etMaxDriftLag,
-	}
+	rec := newRecord("eventtime", map[string]any{
+		"items": items, "count_window": window, "spacing_ms": spacing.Milliseconds(),
+	})
 
 	// 1. Equivalence: count windows of W items vs event-time tumbling
 	// windows of W*spacing, over the identical in-order feed.
@@ -227,9 +208,8 @@ func measureEventTime(items, window int, spacing time.Duration) (*etRecord, erro
 	if err != nil {
 		return nil, fmt.Errorf("eventtime: event stream: %w", err)
 	}
-	record.Windows = len(countRes)
-	record.Equivalent = len(countRes) == len(eventRes)
-	for i := 0; record.Equivalent && i < len(countRes); i++ {
+	equivalent := len(countRes) == len(eventRes)
+	for i := 0; equivalent && i < len(countRes); i++ {
 		a, err := json.Marshal(countRes[i].Decisions)
 		if err != nil {
 			return nil, err
@@ -239,9 +219,12 @@ func measureEventTime(items, window int, spacing time.Duration) (*etRecord, erro
 			return nil, err
 		}
 		if string(a) != string(b) || countRes[i].Size != eventRes[i].Size {
-			record.Equivalent = false
+			equivalent = false
 		}
 	}
+	rec.metric("windows", "count", float64(len(countRes)), 1)
+	rec.check("equivalent", equivalent, "%d count windows, %d event-time windows, decisions bit-identical",
+		len(countRes), len(eventRes))
 
 	// 2. Out-of-order: hold one early item back to the end of the feed.
 	// Its window fires without it; the straggler must come back as a
@@ -262,24 +245,27 @@ func measureEventTime(items, window int, spacing time.Duration) (*etRecord, erro
 	if err != nil {
 		return nil, fmt.Errorf("eventtime: out-of-order stream: %w", err)
 	}
+	superseded, lateDecided := 0, false
 	for _, res := range lateRes {
 		if res.Late && res.Supersedes != "" {
-			record.Superseded++
+			superseded++
 			for _, d := range res.Decisions {
 				if d.Item == etItemIRI(held).Value() {
-					record.LateDecided = true
+					lateDecided = true
 				}
 			}
 		}
 	}
+	rec.metric("superseded_emissions", "count", float64(superseded), 1)
+	rec.check("straggler_superseded", superseded > 0 && lateDecided,
+		"superseded=%d, straggler decided=%v", superseded, lateDecided)
 
 	// 3. Drift: healthy windows, then every item weak — the accept rate
 	// collapses from 50% to 0 and the detector must flag it promptly.
 	injectAt := 2 * 8 // windows of healthy baseline (2x the warm-up)
 	degradeFrom := injectAt * window
 	driftItems := 2 * degradeFrom
-	record.DriftInjectedAtWindow = injectAt
-	record.DriftAlertWindow = -1
+	alertWindow := -1
 	driftCfg := stream.Config{
 		EventTimeKey:   ontology.ObservedAt,
 		WindowDuration: time.Duration(window) * spacing,
@@ -289,9 +275,8 @@ func measureEventTime(items, window int, spacing time.Duration) (*etRecord, erro
 			// with period 7 against 8-item windows), so only the accept-rate
 			// track is the experiment's signal.
 			OnAlert: func(a stream.Alert) {
-				if a.Metric == stream.AcceptRateMetric && !record.DriftAlerted {
-					record.DriftAlerted = true
-					record.DriftAlertWindow = a.Window
+				if a.Metric == stream.AcceptRateMetric && alertWindow < 0 {
+					alertWindow = a.Window
 				}
 			},
 		},
@@ -300,47 +285,16 @@ func measureEventTime(items, window int, spacing time.Duration) (*etRecord, erro
 	if _, err := etStream(weakDegraded, driftCfg, etFeed(driftItems, spacing, nil)); err != nil {
 		return nil, fmt.Errorf("eventtime: drift stream: %w", err)
 	}
-	if record.DriftAlerted {
-		record.DriftLagWindows = record.DriftAlertWindow - record.DriftInjectedAtWindow
+	alerted := alertWindow >= 0
+	lag := 0
+	if alerted {
+		lag = alertWindow - injectAt
 	}
-	record.Metrics = telemetry.Default.Snapshot()
-	return record, nil
-}
-
-func runEventTime(items, window int, spacing time.Duration, benchOut string) {
-	record, err := measureEventTime(items, window, spacing)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println("Event-time streaming — equivalence, late data, drift detection")
-	fmt.Printf("feed: %d items spaced %v apart, %d-item windows (%v)\n",
-		record.Items, spacing, record.CountWindow, time.Duration(record.CountWindow)*spacing)
-	if !record.Equivalent {
-		fatal(fmt.Errorf("eventtime: event-time windows diverged from count windows on an in-order feed"))
-	}
-	fmt.Printf("equivalence: %d windows bit-identical between count and event-time enactment\n",
-		record.Windows)
-	if record.Superseded == 0 || !record.LateDecided {
-		fatal(fmt.Errorf("eventtime: straggler produced no superseding re-emission (superseded=%d, decided=%v)",
-			record.Superseded, record.LateDecided))
-	}
-	fmt.Printf("late data: %d superseding re-emission(s), straggler decided on replay\n", record.Superseded)
-	if !record.DriftAlerted || record.DriftLagWindows > record.DriftMaxLag {
-		fatal(fmt.Errorf("eventtime: drift alert missing or slow (alerted=%v window=%d lag=%d max=%d)",
-			record.DriftAlerted, record.DriftAlertWindow, record.DriftLagWindows, record.DriftMaxLag))
-	}
-	fmt.Printf("drift: degradation injected at window %d, alerted at window %d (lag %d ≤ %d)\n",
-		record.DriftInjectedAtWindow, record.DriftAlertWindow, record.DriftLagWindows, record.DriftMaxLag)
-	if benchOut == "" {
-		fmt.Println()
-		return
-	}
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("benchmark record written to %s\n\n", benchOut)
+	rec.metric("drift/injected_at_window", "window", float64(injectAt), 1)
+	rec.metric("drift/alert_window", "window", float64(alertWindow), 1)
+	rec.metric("drift/lag_windows", "windows", float64(lag), 1)
+	rec.check("drift_alert", alerted && lag <= etMaxDriftLag,
+		"alerted=%v at window %d, lag %d, max %d", alerted, alertWindow, lag, etMaxDriftLag)
+	rec.Registry = telemetry.Default.Snapshot()
+	return rec, nil
 }

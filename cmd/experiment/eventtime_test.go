@@ -1,10 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -20,57 +16,28 @@ func TestEventTimeRecordSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if record.Experiment != "eventtime" || record.Items != items || record.CountWindow != window {
-		t.Fatalf("header = %q/%d/%d", record.Experiment, record.Items, record.CountWindow)
+	if record.Experiment != "eventtime" || record.Params["items"] != items || record.Params["count_window"] != window {
+		t.Fatalf("header = %q/%v/%v", record.Experiment, record.Params["items"], record.Params["count_window"])
 	}
-	if !record.Equivalent {
+	if !passed(t, record, "equivalent") {
 		t.Fatal("event-time windows diverged from count windows on an in-order feed")
 	}
-	if record.Windows != items/window {
-		t.Errorf("windows = %d, want %d", record.Windows, items/window)
+	if w := metricOf(t, record, "windows").Value; w != items/window {
+		t.Errorf("windows = %v, want %d", w, items/window)
 	}
-	if record.Superseded < 1 || !record.LateDecided {
-		t.Fatalf("late data: superseded=%d decided=%v, want a superseding re-emission deciding the straggler",
-			record.Superseded, record.LateDecided)
+	if s := metricOf(t, record, "superseded_emissions").Value; s < 1 || !passed(t, record, "straggler_superseded") {
+		t.Fatalf("late data: superseded=%v, want a superseding re-emission deciding the straggler", s)
 	}
-	if !record.DriftAlerted {
+	if metricOf(t, record, "drift/alert_window").Value < 0 {
 		t.Fatal("injected degradation raised no drift alert")
 	}
-	if record.DriftLagWindows < 0 || record.DriftLagWindows > record.DriftMaxLag {
-		t.Errorf("drift lag = %d windows, want within [0, %d]", record.DriftLagWindows, record.DriftMaxLag)
+	if lag := metricOf(t, record, "drift/lag_windows").Value; lag < 0 || lag > etMaxDriftLag || !passed(t, record, "drift_alert") {
+		t.Errorf("drift lag = %v windows, want within [0, %d]", lag, etMaxDriftLag)
 	}
-	var sawScore, sawAlerts bool
-	for _, m := range record.Metrics {
-		switch m.Name {
-		case "qurator_stream_drift_score":
-			sawScore = true
-		case "qurator_stream_drift_alerts_total":
-			sawAlerts = true
-		}
-	}
-	if !sawScore || !sawAlerts {
-		t.Errorf("drift metrics missing from snapshot: score=%v alerts=%v", sawScore, sawAlerts)
+	if !registryHas(record, "qurator_stream_drift_score") || !registryHas(record, "qurator_stream_drift_alerts_total") {
+		t.Errorf("drift metrics missing from snapshot: score=%v alerts=%v",
+			registryHas(record, "qurator_stream_drift_score"), registryHas(record, "qurator_stream_drift_alerts_total"))
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_eventtime.json")
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var back etRecord
-	if err := dec.Decode(&back); err != nil {
-		t.Fatalf("record does not round-trip strictly: %v", err)
-	}
-	if back.Superseded != record.Superseded || back.DriftAlertWindow != record.DriftAlertWindow {
-		t.Error("record fields lost in the round-trip")
-	}
+	roundTrip(t, record)
 }

@@ -13,22 +13,31 @@
 //	experiment -eventtime    # event-time streaming: equivalence, late data, drift alerting
 //	experiment -all          # everything
 //
-// Flags -seed, -spots, -db resize the world. The Figure-7 run also
-// writes a benchmark record (per-phase wall-clock + a process metrics
-// snapshot) to -bench-out, seeding the bench trajectory.
+// Flags -seed, -spots, -db resize the world and -sparql-runs the SPARQL
+// experiment's provenance log; every other size is a constant of its
+// experiment. Figure 7 and the five system experiments each write one
+// experiment/v1 record, BENCH_<name>.json, into the -out directory
+// (default ".", empty = no files): schema, experiment, the machine facts
+// (go_version, gomaxprocs, nproc), params, metrics ({name, unit, value,
+// samples}, per-row results named "<row>/<field>"), named checks ({name,
+// pass, detail}: every tripwire) and registry (the process metrics
+// snapshot). Every metric and check is printed, and the command exits 1
+// if any check failed.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"qurator/internal/ispider"
 	"qurator/internal/telemetry"
 )
+
+// repeats is the number of timed repeats per configuration in the
+// data-plane, SPARQL, cube and MQO experiments.
+const repeats = 3
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to regenerate (1, 6 or 7)")
@@ -37,40 +46,18 @@ func main() {
 	seed := flag.Int64("seed", 2006, "world seed")
 	spots := flag.Int("spots", 10, "number of protein spots")
 	dbSize := flag.Int("db", 120, "reference database size")
-	benchOut := flag.String("bench-out", "BENCH_fig7.json",
-		"write the Figure-7 benchmark record (timings + metrics) here; empty = off")
-	dataplane := flag.Bool("dataplane", false,
+	dataplaneRun := flag.Bool("dataplane", false,
 		"run the data-plane experiment: serial vs sharded vs cached enactment of the quality view")
-	dataplaneOut := flag.String("dataplane-out", "BENCH_dataplane.json",
-		"write the data-plane benchmark record here; empty = off")
-	repeats := flag.Int("repeats", 3, "repeats per data-plane configuration")
 	sparqlRun := flag.Bool("sparql", false,
 		"run the metadata-plane query experiment: clone-per-query vs snapshot + streaming evaluation")
 	sparqlRuns := flag.Int("sparql-runs", 20000, "provenance runs in the SPARQL experiment's log")
-	sparqlOut := flag.String("sparql-out", "BENCH_sparql.json",
-		"write the SPARQL benchmark record here; empty = off")
 	cubeRun := flag.Bool("cube", false,
 		"run the quality-cube experiment: pre-aggregated rollup slices vs SPARQL scans over raw daQ observations")
-	cubeObs := flag.Int("cube-obs", 100_000, "observations in the cube experiment")
-	cubeOut := flag.String("cube-out", "BENCH_cube.json",
-		"write the cube benchmark record here; empty = off")
 	mqoRun := flag.Bool("mqo", false,
 		"run the multi-query-optimization experiment: independent view-fleet enactment vs one merged shared-prefix plan")
-	mqoViews := flag.Int("mqo-views", 100, "fleet size in the MQO experiment")
-	mqoFamilies := flag.Int("mqo-families", 20, "shared QA families in the MQO experiment")
-	mqoItems := flag.Int("mqo-items", 24, "data-set size in the MQO experiment")
-	mqoLatency := flag.Duration("mqo-latency", 2*time.Millisecond,
-		"simulated per-invocation quality-service latency in the MQO experiment")
-	mqoOut := flag.String("mqo-out", "BENCH_mqo.json",
-		"write the MQO benchmark record here; empty = off")
 	etRun := flag.Bool("eventtime", false,
 		"run the event-time streaming experiment: count/event-time equivalence, late-data supersession, drift-alert latency")
-	etItems := flag.Int("eventtime-items", 64, "items in the event-time equivalence feed")
-	etWindow := flag.Int("eventtime-window", 8, "window size (items) in the event-time experiment")
-	etSpacing := flag.Duration("eventtime-spacing", 10*time.Millisecond,
-		"event-time spacing between consecutive items")
-	etOut := flag.String("eventtime-out", "BENCH_eventtime.json",
-		"write the event-time benchmark record here; empty = off")
+	out := flag.String("out", ".", "directory for the BENCH_<name>.json records; empty = no files")
 	flag.Parse()
 
 	params := ispider.DefaultWorldParams()
@@ -82,50 +69,60 @@ func main() {
 		fatal(err)
 	}
 
-	if *all {
-		runFigure1(world)
-		runFigure6(world)
-		runFigure7(world, *benchOut)
-		runDataPlane(world, *dataplaneOut, *repeats)
-		runSPARQL(*sparqlRuns, *repeats, *sparqlOut)
-		runCube(*cubeObs, *repeats, *cubeOut)
-		runMQO(*mqoViews, *mqoFamilies, *mqoItems, *mqoLatency, *repeats, *mqoOut)
-		runEventTime(*etItems, *etWindow, *etSpacing, *etOut)
-		runQAAblation(world)
-		runThresholdAblation(world)
-		runLearnedAblation(world)
-		runContaminationAblation(params)
-		return
+	table := func(f func()) experiment {
+		return func() (*record, error) { f(); return nil, nil }
 	}
+	fig1 := table(func() { runFigure1(world) })
+	fig6 := table(func() { runFigure6(world) })
+	fig7 := func() (*record, error) { return runFigure7(world) }
+	dataplane := func() (*record, error) { return measureDataPlane(world, repeats) }
+	sparql := func() (*record, error) { return measureSPARQL(*sparqlRuns, repeats) }
+	cube := func() (*record, error) { return measureCube(cubeObs, repeats) }
+	mqo := func() (*record, error) {
+		return measureMQO(mqoViews, mqoFamilies, mqoItems, mqoLatency, repeats)
+	}
+	eventtime := func() (*record, error) { return measureEventTime(etItems, etWindow, etSpacing) }
+	qaAblation := table(func() { runQAAblation(world) })
+	thresholdAblation := table(func() { runThresholdAblation(world) })
+	learnedAblation := table(func() { runLearnedAblation(world) })
+	contaminationAblation := table(func() { runContaminationAblation(params) })
+
+	var exps []experiment
 	switch {
-	case *dataplane:
-		runDataPlane(world, *dataplaneOut, *repeats)
+	case *all:
+		exps = []experiment{fig1, fig6, fig7, dataplane, sparql, cube, mqo, eventtime,
+			qaAblation, thresholdAblation, learnedAblation, contaminationAblation}
+	case *dataplaneRun:
+		exps = []experiment{dataplane}
 	case *sparqlRun:
-		runSPARQL(*sparqlRuns, *repeats, *sparqlOut)
+		exps = []experiment{sparql}
 	case *cubeRun:
-		runCube(*cubeObs, *repeats, *cubeOut)
+		exps = []experiment{cube}
 	case *mqoRun:
-		runMQO(*mqoViews, *mqoFamilies, *mqoItems, *mqoLatency, *repeats, *mqoOut)
+		exps = []experiment{mqo}
 	case *etRun:
-		runEventTime(*etItems, *etWindow, *etSpacing, *etOut)
+		exps = []experiment{eventtime}
 	case *fig == 1:
-		runFigure1(world)
+		exps = []experiment{fig1}
 	case *fig == 6:
-		runFigure6(world)
+		exps = []experiment{fig6}
 	case *fig == 7 || (*fig == 0 && *ablation == ""):
-		runFigure7(world, *benchOut)
+		exps = []experiment{fig7}
 	case *ablation == "qa":
-		runQAAblation(world)
+		exps = []experiment{qaAblation}
 	case *ablation == "threshold":
-		runThresholdAblation(world)
+		exps = []experiment{thresholdAblation}
 	case *ablation == "learned":
-		runLearnedAblation(world)
+		exps = []experiment{learnedAblation}
 	case *ablation == "contamination":
-		runContaminationAblation(params)
+		exps = []experiment{contaminationAblation}
 	default:
 		fmt.Fprintln(os.Stderr, "experiment: unknown selection")
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err := runExperiments(os.Stdout, *out, exps); err != nil {
+		fatal(err)
 	}
 }
 
@@ -180,59 +177,31 @@ func runFigure6(world *ispider.World) {
 		len(out.Entries), out.Accepted.Len())
 }
 
-func runFigure7(world *ispider.World, benchOut string) {
+func runFigure7(world *ispider.World) (*record, error) {
 	res, timings, err := ispider.RunFigure7Timed(world)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	fmt.Print(res.Format())
 	fmt.Println()
-	if benchOut == "" {
-		return
-	}
-	if err := writeBench(benchOut, world, res, timings); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("benchmark record written to %s\n\n", benchOut)
+	return figure7Record(world, res, timings), nil
 }
 
-// writeBench records the Figure-7 run for the bench trajectory: world
-// parameters, per-phase wall-clock, headline result numbers, and the
-// process metrics snapshot (processor durations, service counters) the
-// run accumulated.
-func writeBench(path string, world *ispider.World, res *ispider.Figure7Result, t *ispider.Figure7Timings) error {
-	record := struct {
-		Experiment string              `json:"experiment"`
-		World      ispider.WorldParams `json:"world"`
-		PhasesMS   map[string]float64  `json:"phases_ms"`
-		Result     struct {
-			IdentificationsOriginal int     `json:"identificationsOriginal"`
-			IdentificationsKept     int     `json:"identificationsKept"`
-			TotalOriginal           int     `json:"termOccurrencesOriginal"`
-			TotalFiltered           int     `json:"termOccurrencesFiltered"`
-			RankDisplacement        float64 `json:"rankDisplacement"`
-		} `json:"result"`
-		Metrics []telemetry.MetricSnapshot `json:"metrics"`
-	}{
-		Experiment: "figure7",
-		World:      world.Params,
-		PhasesMS: map[string]float64{
-			"baseline":          float64(t.Baseline.Microseconds()) / 1000,
-			"quality_enactment": float64(t.QualityEnactment.Microseconds()) / 1000,
-			"ranking":           float64(t.Ranking.Microseconds()) / 1000,
-		},
-		Metrics: telemetry.Default.Snapshot(),
-	}
-	record.Result.IdentificationsOriginal = res.IdentificationsOriginal
-	record.Result.IdentificationsKept = res.IdentificationsKept
-	record.Result.TotalOriginal = res.TotalOriginal
-	record.Result.TotalFiltered = res.TotalFiltered
-	record.Result.RankDisplacement = res.RankDisplacement
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+// figure7Record records the Figure-7 run: world parameters, per-phase
+// wall-clock, the headline result numbers, and the process metrics
+// (processor durations, service counters) the run accumulated.
+func figure7Record(world *ispider.World, res *ispider.Figure7Result, t *ispider.Figure7Timings) *record {
+	rec := newRecord("fig7", map[string]any{"world": world.Params})
+	rec.metric("baseline/wall_ms", "ms", float64(t.Baseline.Microseconds())/1000, 1)
+	rec.metric("quality_enactment/wall_ms", "ms", float64(t.QualityEnactment.Microseconds())/1000, 1)
+	rec.metric("ranking/wall_ms", "ms", float64(t.Ranking.Microseconds())/1000, 1)
+	rec.metric("identifications/original", "count", float64(res.IdentificationsOriginal), 1)
+	rec.metric("identifications/kept", "count", float64(res.IdentificationsKept), 1)
+	rec.metric("term_occurrences/original", "count", float64(res.TotalOriginal), 1)
+	rec.metric("term_occurrences/filtered", "count", float64(res.TotalFiltered), 1)
+	rec.metric("rank_displacement", "ranks", res.RankDisplacement, 1)
+	rec.Registry = telemetry.Default.Snapshot()
+	return rec
 }
 
 func runQAAblation(world *ispider.World) {

@@ -3,10 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -34,39 +33,15 @@ import (
 // tripwire re-checks the MQO contract: every view's merged outputs must
 // be bit-identical to its independent enactment.
 
-// mqoRecord is the BENCH_mqo.json schema.
-type mqoRecord struct {
-	Experiment string `json:"experiment"`
-	// Views is the fleet size; QAFamilies the size of the shared QA pool
-	// each view draws from (plus one private QA per view).
-	Views      int `json:"views"`
-	QAFamilies int `json:"qaFamilies"`
-	Items      int `json:"items"`
-	// SharedFraction is the fraction of each view's quality-service
-	// processors that at least one sibling also uses.
-	SharedFraction float64 `json:"sharedFraction"`
-	LatencyMS      float64 `json:"latency_ms"`
-	Repeats        int     `json:"repeats"`
-	// SharedPrefixes / SavedPerEnactment come from the merged plan: how
-	// many quality processors serve ≥ 2 views, and how many invocations
-	// one merged enactment avoids versus independent enactment.
-	SharedPrefixes    int `json:"sharedPrefixes"`
-	SavedPerEnactment int `json:"savedPerEnactment"`
-	// IndependentRunsMS / MergedRunsMS are per-repeat wall-clock times of
-	// the full fleet: all views independently vs the one merged plan.
-	IndependentRunsMS []float64 `json:"independent_runs_ms"`
-	MergedRunsMS      []float64 `json:"merged_runs_ms"`
-	IndependentBestMS float64   `json:"independent_best_ms"`
-	MergedBestMS      float64   `json:"merged_best_ms"`
-	// Ratio = merged best / independent best; MaxRatio is the acceptance
-	// ceiling the experiment enforces.
-	Ratio    float64 `json:"ratio"`
-	MaxRatio float64 `json:"maxRatio"`
-	// Equivalent reports the bit-identity tripwire: every view's merged
-	// outputs matched its independent enactment, every repeat.
-	Equivalent bool                       `json:"equivalent"`
-	Metrics    []telemetry.MetricSnapshot `json:"metrics"`
-}
+// The full-size fleet: mqoViews views drawing on mqoFamilies shared QA
+// families over mqoItems items, every quality service sleeping
+// mqoLatency per invocation.
+const (
+	mqoViews    = 100
+	mqoFamilies = 20
+	mqoItems    = 24
+	mqoLatency  = 2 * time.Millisecond
+)
 
 // mqoMaxRatio is the acceptance ceiling: a merged fleet enactment must
 // cost at most this fraction of enacting every view independently.
@@ -258,8 +233,13 @@ func viewFingerprint(outputs map[string]*evidence.Map) (string, error) {
 }
 
 // measureMQO enacts the fleet independently and merged, repeats times
-// each, checking bit-identity on every repeat.
-func measureMQO(viewCount, families, items int, delay time.Duration, repeats int) (*mqoRecord, error) {
+// each, checking bit-identity on every repeat. The record's params are
+// the fleet shape; shared_fraction is the fraction of each view's
+// quality-service processors that at least one sibling also uses;
+// shared_prefixes and saved_per_enactment come from the merged plan (how
+// many quality processors serve ≥ 2 views, and how many invocations one
+// merged enactment avoids); ratio is merged best / independent best.
+func measureMQO(viewCount, families, items int, delay time.Duration, repeats int) (*record, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -271,25 +251,20 @@ func measureMQO(viewCount, families, items int, delay time.Duration, repeats int
 	if err != nil {
 		return nil, err
 	}
-	record := &mqoRecord{
-		Experiment:        "mqo",
-		Views:             viewCount,
-		QAFamilies:        families,
-		Items:             items,
-		SharedFraction:    fleet.sharedFraction,
-		LatencyMS:         float64(delay.Microseconds()) / 1000,
-		Repeats:           repeats,
-		SharedPrefixes:    mv.SharedPrefixes(),
-		SavedPerEnactment: mv.SavedPerEnactment(),
-		MaxRatio:          mqoMaxRatio,
-		Equivalent:        true,
-	}
+	rec := newRecord("mqo", map[string]any{
+		"views": viewCount, "qa_families": families, "items": items,
+		"latency_ms": float64(delay.Microseconds()) / 1000, "repeats": repeats,
+	})
+	rec.metric("shared_fraction", "fraction", fleet.sharedFraction, 1)
+	rec.metric("shared_prefixes", "count", float64(mv.SharedPrefixes()), 1)
+	rec.metric("saved_per_enactment", "count", float64(mv.SavedPerEnactment()), 1)
 	data := make([]evidence.Item, items)
 	for i := range data {
 		data[i] = mqoItem(i)
 	}
 	ctx := context.Background()
 
+	var independentMS, mergedMS []float64
 	independent := make(map[string]string, viewCount)
 	for r := 0; r < repeats; r++ {
 		start := time.Now()
@@ -307,18 +282,17 @@ func measureMQO(viewCount, families, items int, delay time.Duration, repeats int
 			}
 			independent[v.Name()] = print
 		}
-		record.IndependentRunsMS = append(record.IndependentRunsMS,
-			float64(time.Since(start).Microseconds())/1000)
+		independentMS = append(independentMS, float64(time.Since(start).Microseconds())/1000)
 	}
 
+	equivalent := true
 	for r := 0; r < repeats; r++ {
 		start := time.Now()
 		results, err := mv.Enact(ctx, data)
 		if err != nil {
 			return nil, fmt.Errorf("mqo: merged enactment: %w", err)
 		}
-		record.MergedRunsMS = append(record.MergedRunsMS,
-			float64(time.Since(start).Microseconds())/1000)
+		mergedMS = append(mergedMS, float64(time.Since(start).Microseconds())/1000)
 		for name, vr := range results {
 			if vr.Err != nil {
 				return nil, fmt.Errorf("mqo: merged view %s: %w", name, vr.Err)
@@ -328,46 +302,11 @@ func measureMQO(viewCount, families, items int, delay time.Duration, repeats int
 				return nil, err
 			}
 			if print != independent[name] {
-				record.Equivalent = false
+				equivalent = false
 			}
 		}
 	}
 
-	best := func(runs []float64) float64 {
-		b := runs[0]
-		for _, v := range runs[1:] {
-			if v < b {
-				b = v
-			}
-		}
-		return b
-	}
-	record.IndependentBestMS = best(record.IndependentRunsMS)
-	record.MergedBestMS = best(record.MergedRunsMS)
-	record.Ratio = record.MergedBestMS / record.IndependentBestMS
-	record.Metrics = telemetry.Default.Snapshot()
-	return record, nil
-}
-
-func writeMQORecord(path string, record *mqoRecord) error {
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func runMQO(viewCount, families, items int, latency time.Duration, repeats int, benchOut string) {
-	record, err := measureMQO(viewCount, families, items, latency, repeats)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println("Multi-query optimization — shared-prefix enactment of a view fleet (compiler.MergeViews)")
-	fmt.Printf("fleet: %d views over %d QA families (+1 private QA each), %.0f%% shared structure, %gms service latency\n",
-		record.Views, record.QAFamilies, 100*record.SharedFraction, record.LatencyMS)
-	fmt.Printf("merged plan: %d shared prefixes, %d invocations saved per enactment\n",
-		record.SharedPrefixes, record.SavedPerEnactment)
-	fmt.Printf("%-22s %12s %12s\n", "strategy", "best ms", "mean ms")
 	mean := func(runs []float64) float64 {
 		var s float64
 		for _, v := range runs {
@@ -375,23 +314,15 @@ func runMQO(viewCount, families, items int, latency time.Duration, repeats int, 
 		}
 		return s / float64(len(runs))
 	}
-	fmt.Printf("%-22s %12.1f %12.1f\n", "independent fleet", record.IndependentBestMS, mean(record.IndependentRunsMS))
-	fmt.Printf("%-22s %12.1f %12.1f\n", "merged (MQO)", record.MergedBestMS, mean(record.MergedRunsMS))
-	fmt.Printf("ratio merged/independent = %.3f (ceiling %.2f)\n", record.Ratio, record.MaxRatio)
-	if !record.Equivalent {
-		fatal(fmt.Errorf("mqo: merged outputs diverged from independent enactment"))
-	}
-	fmt.Println("all views bit-identical to independent enactment")
-	if record.Ratio > record.MaxRatio {
-		fatal(fmt.Errorf("mqo: merged enactment cost %.3f of independent, above the %.2f ceiling",
-			record.Ratio, record.MaxRatio))
-	}
-	if benchOut == "" {
-		fmt.Println()
-		return
-	}
-	if err := writeMQORecord(benchOut, record); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("benchmark record written to %s\n\n", benchOut)
+	independentBest, mergedBest := slices.Min(independentMS), slices.Min(mergedMS)
+	ratio := mergedBest / independentBest
+	rec.metric("independent/best_ms", "ms", independentBest, repeats)
+	rec.metric("independent/mean_ms", "ms", mean(independentMS), repeats)
+	rec.metric("merged/best_ms", "ms", mergedBest, repeats)
+	rec.metric("merged/mean_ms", "ms", mean(mergedMS), repeats)
+	rec.metric("ratio", "fraction", ratio, repeats)
+	rec.check("equivalent", equivalent, "every view's merged outputs bit-identical to its independent enactment, every repeat")
+	rec.check("ratio", ratio <= mqoMaxRatio, "merged/independent = %.3f, ceiling %.2f", ratio, mqoMaxRatio)
+	rec.Registry = telemetry.Default.Snapshot()
+	return rec, nil
 }

@@ -1,9 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -21,34 +20,9 @@ import (
 // cardinality-planned evaluator. An equivalence tripwire asserts both
 // engines return identical sorted rows on every query.
 
-// sparqlQueryRun is the measured outcome for one query.
-type sparqlQueryRun struct {
-	Name  string `json:"name"`
-	Query string `json:"query"`
-	Rows  int    `json:"rows"`
-	// CloneMS is the seed path: deep copy + materializing evaluator.
-	CloneMS float64 `json:"clone_ms"`
-	// SnapshotMS isolates the snapshot win: O(1) snapshot + materializing
-	// evaluator.
-	SnapshotMS float64 `json:"snapshot_ms"`
-	// StreamMS is the production path: O(1) snapshot + streaming evaluator.
-	StreamMS float64 `json:"stream_ms"`
-	// Speedup is CloneMS / StreamMS.
-	Speedup float64 `json:"speedup"`
-}
-
-// sparqlRecord is the BENCH_sparql.json schema.
-type sparqlRecord struct {
-	Experiment string           `json:"experiment"`
-	Runs       int              `json:"runs"`
-	Triples    int              `json:"triples"`
-	Repeats    int              `json:"repeats"`
-	Queries    []sparqlQueryRun `json:"queries"`
-	// MinSpeedup/MeanSpeedup summarize clone-vs-stream across queries.
-	MinSpeedup  float64                    `json:"min_speedup"`
-	MeanSpeedup float64                    `json:"mean_speedup"`
-	Equivalent  bool                       `json:"equivalent"`
-	Metrics     []telemetry.MetricSnapshot `json:"metrics"`
+// sparqlQuery is one query of the suite.
+type sparqlQuery struct {
+	name, query string
 }
 
 // buildProvenanceWorld records n synthetic runs in the paper's
@@ -58,7 +32,8 @@ func buildProvenanceWorld(n int) *provenance.Log {
 	l := provenance.NewLog()
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < n; i++ {
-		l.Record(provenance.Record{
+		// The log has no durable store, so Record cannot fail.
+		_, _ = l.Record(provenance.Record{
 			View:      fmt.Sprintf("view-%d", i%7),
 			Started:   base.Add(time.Duration(i) * time.Second),
 			Duration:  time.Duration(1+i%250) * time.Millisecond,
@@ -75,30 +50,30 @@ func buildProvenanceWorld(n int) *provenance.Log {
 	return l
 }
 
-func sparqlQueries() []sparqlQueryRun {
+func sparqlQueries() []sparqlQuery {
 	q := func(local string) string { return ontology.QuratorNS + local }
-	return []sparqlQueryRun{
+	return []sparqlQuery{
 		{
-			Name: "runs-of-view",
-			Query: fmt.Sprintf(
+			name: "runs-of-view",
+			query: fmt.Sprintf(
 				`SELECT ?run ?n WHERE { ?run <%s> "view-3" . ?run <%s> ?n . }`,
 				q("usedView"), q("inputSize")),
 		},
 		{
-			Name: "outputs-join",
-			Query: fmt.Sprintf(
+			name: "outputs-join",
+			query: fmt.Sprintf(
 				`SELECT ?run ?name ?size WHERE { ?run <%s> "view-1" . ?run <%s> ?o . ?o <%s> ?name . ?o <%s> ?size . FILTER (?size > 30) }`,
 				q("usedView"), q("producedOutput"), q("outputName"), q("outputSize")),
 		},
 		{
-			Name: "slow-runs",
-			Query: fmt.Sprintf(
+			name: "slow-runs",
+			query: fmt.Sprintf(
 				`SELECT DISTINCT ?run WHERE { ?run <%s> ?d . FILTER (?d > 240) } ORDER BY ?run LIMIT 50`,
 				q("durationMillis")),
 		},
 		{
-			Name: "condition-provenance",
-			Query: fmt.Sprintf(
+			name: "condition-provenance",
+			query: fmt.Sprintf(
 				`SELECT ?run ?expr WHERE { ?run <%s> ?c . ?c <%s> "accept" . ?c <%s> ?expr . ?run <%s> "view-2" . }`,
 				q("usedCondition"), q("conditionAction"), q("conditionExpression"), q("usedView")),
 		},
@@ -145,109 +120,76 @@ func rowKeys(res *sparql.Result) []string {
 	return out
 }
 
-func measureSPARQL(runs, repeats int) (*sparqlRecord, error) {
+// measureSPARQL times each query three ways — the seed path (deep copy
+// + materializing evaluator), an O(1) snapshot + materializing evaluator
+// (the snapshot win alone), and the production path (snapshot +
+// streaming evaluator) — and reports speedup = clone / stream.
+func measureSPARQL(runs, repeats int) (*record, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
 	log := buildProvenanceWorld(runs)
 	graph := log.Graph()
-	record := &sparqlRecord{
-		Experiment: "sparql",
-		Runs:       runs,
-		Triples:    graph.Len(),
-		Repeats:    repeats,
-		Equivalent: true,
-	}
-
+	rec := newRecord("sparql", map[string]any{"runs": runs, "repeats": repeats})
+	rec.metric("triples", "count", float64(graph.Len()), 1)
+	equivalent := true
+	var speedups []float64
 	for _, qr := range sparqlQueries() {
 		var cloneRes, streamRes *sparql.Result
 		var err error
 
-		qr.CloneMS, err = timeBest(repeats, func() error {
+		cloneMS, err := timeBest(repeats, func() error {
 			g := deepCopy(graph)
-			cloneRes, err = sparql.ExecBaseline(g.Snapshot(), qr.Query)
+			cloneRes, err = sparql.ExecBaseline(g.Snapshot(), qr.query)
 			return err
 		})
 		if err != nil {
-			return nil, fmt.Errorf("query %s (clone): %w", qr.Name, err)
+			return nil, fmt.Errorf("query %s (clone): %w", qr.name, err)
 		}
-		qr.SnapshotMS, err = timeBest(repeats, func() error {
-			_, err := sparql.ExecBaseline(log.Snapshot(), qr.Query)
+		snapshotMS, err := timeBest(repeats, func() error {
+			_, err := sparql.ExecBaseline(log.Snapshot(), qr.query)
 			return err
 		})
 		if err != nil {
-			return nil, fmt.Errorf("query %s (snapshot): %w", qr.Name, err)
+			return nil, fmt.Errorf("query %s (snapshot): %w", qr.name, err)
 		}
-		qr.StreamMS, err = timeBest(repeats, func() error {
-			streamRes, err = log.Query(qr.Query)
+		streamMS, err := timeBest(repeats, func() error {
+			streamRes, err = log.Query(qr.query)
 			return err
 		})
 		if err != nil {
-			return nil, fmt.Errorf("query %s (stream): %w", qr.Name, err)
+			return nil, fmt.Errorf("query %s (stream): %w", qr.name, err)
 		}
 
 		// Equivalence tripwire: the engines must agree row for row.
-		cloneKeys, streamKeys := rowKeys(cloneRes), rowKeys(streamRes)
-		if len(cloneKeys) != len(streamKeys) {
-			record.Equivalent = false
-		} else {
-			for i := range cloneKeys {
-				if cloneKeys[i] != streamKeys[i] {
-					record.Equivalent = false
-					break
-				}
-			}
+		if !slices.Equal(rowKeys(cloneRes), rowKeys(streamRes)) {
+			equivalent = false
 		}
-
-		qr.Rows = len(streamRes.Bindings)
-		if qr.StreamMS > 0 {
-			qr.Speedup = qr.CloneMS / qr.StreamMS
+		speedup := 0.0
+		if streamMS > 0 {
+			speedup = cloneMS / streamMS
 		}
-		record.Queries = append(record.Queries, qr)
+		speedups = append(speedups, speedup)
+		rec.metric(qr.name+"/rows", "rows", float64(len(streamRes.Bindings)), 1)
+		rec.metric(qr.name+"/clone_ms", "ms", cloneMS, repeats)
+		rec.metric(qr.name+"/snapshot_ms", "ms", snapshotMS, repeats)
+		rec.metric(qr.name+"/stream_ms", "ms", streamMS, repeats)
+		rec.metric(qr.name+"/speedup", "x", speedup, repeats)
 	}
-
-	for i, qr := range record.Queries {
-		if i == 0 || qr.Speedup < record.MinSpeedup {
-			record.MinSpeedup = qr.Speedup
-		}
-		record.MeanSpeedup += qr.Speedup
-	}
-	record.MeanSpeedup /= float64(len(record.Queries))
-	record.Metrics = telemetry.Default.Snapshot()
-	return record, nil
+	speedupSummary(rec, speedups)
+	rec.check("equivalent", equivalent, "streaming evaluator returns the materializing baseline's rows on every query")
+	rec.Registry = telemetry.Default.Snapshot()
+	return rec, nil
 }
 
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
+// speedupSummary records the minimum and mean of per-row speedups and
+// returns the minimum.
+func speedupSummary(rec *record, speedups []float64) float64 {
+	lo, sum := slices.Min(speedups), 0.0
+	for _, s := range speedups {
+		sum += s
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func runSPARQL(runs, repeats int, benchOut string) {
-	record, err := measureSPARQL(runs, repeats)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("Metadata-plane query engine — clone+materialize vs snapshot+stream (%d runs, %d triples)\n",
-		record.Runs, record.Triples)
-	fmt.Printf("%-22s %6s %12s %12s %12s %9s\n",
-		"query", "rows", "clone ms", "snapshot ms", "stream ms", "speedup")
-	for _, qr := range record.Queries {
-		fmt.Printf("%-22s %6d %12.2f %12.2f %12.2f %8.1fx\n",
-			qr.Name, qr.Rows, qr.CloneMS, qr.SnapshotMS, qr.StreamMS, qr.Speedup)
-	}
-	if !record.Equivalent {
-		fatal(fmt.Errorf("streaming evaluator diverged from the materializing baseline"))
-	}
-	fmt.Println("all queries identical across evaluators")
-	if benchOut == "" {
-		fmt.Println()
-		return
-	}
-	if err := writeJSON(benchOut, record); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("benchmark record written to %s\n\n", benchOut)
+	rec.metric("min_speedup", "x", lo, len(speedups))
+	rec.metric("mean_speedup", "x", sum/float64(len(speedups)), len(speedups))
+	return lo
 }

@@ -1,12 +1,6 @@
 package main
 
-import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestSPARQLRecordSchema runs the query experiment over a small provenance
 // log and checks the BENCH_sparql.json record is well-formed: the
@@ -19,50 +13,37 @@ func TestSPARQLRecordSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !record.Equivalent {
+	if !passed(t, record, "equivalent") {
 		t.Fatal("streaming evaluator diverged from the materializing baseline")
 	}
 	if record.Experiment != "sparql" {
 		t.Fatalf("experiment = %q", record.Experiment)
 	}
-	if record.Runs != 1000 || record.Triples < record.Runs {
-		t.Fatalf("runs = %d, triples = %d", record.Runs, record.Triples)
+	if triples := metricOf(t, record, "triples").Value; record.Params["runs"] != 1000 || triples < 1000 {
+		t.Fatalf("runs = %v, triples = %v", record.Params["runs"], triples)
 	}
-	if len(record.Queries) != len(sparqlQueries()) {
-		t.Fatalf("%d queries, want %d", len(record.Queries), len(sparqlQueries()))
+	queries := sparqlQueries()
+	if n := len(record.Metrics); n != 1+5*len(queries)+2 {
+		t.Fatalf("%d metrics, want triples, 5 per query for %d queries, and 2 summaries", n, len(queries))
 	}
-	for _, qr := range record.Queries {
-		if qr.Rows == 0 {
-			t.Errorf("query %s returned no rows — the world no longer exercises it", qr.Name)
+	for _, q := range queries {
+		if metricOf(t, record, q.name+"/rows").Value == 0 {
+			t.Errorf("query %s returned no rows — the world no longer exercises it", q.name)
 		}
-		if qr.CloneMS < 0 || qr.SnapshotMS < 0 || qr.StreamMS < 0 {
-			t.Errorf("query %s: negative wall-clock", qr.Name)
+		for _, field := range []string{"/clone_ms", "/snapshot_ms", "/stream_ms"} {
+			if metricOf(t, record, q.name+field).Value < 0 {
+				t.Errorf("query %s: negative wall-clock", q.name)
+			}
 		}
-		if qr.Speedup <= 0 {
-			t.Errorf("query %s: speedup = %f", qr.Name, qr.Speedup)
+		if s := metricOf(t, record, q.name+"/speedup").Value; s <= 0 {
+			t.Errorf("query %s: speedup = %f", q.name, s)
 		}
 	}
 	// Conservative floor: even on a small log, skipping the deep copy and
 	// planning by cardinality must not be slower than clone+materialize.
-	if record.MinSpeedup < 1 {
-		t.Errorf("min speedup = %.2f, want >= 1", record.MinSpeedup)
+	if s := metricOf(t, record, "min_speedup").Value; s < 1 {
+		t.Errorf("min speedup = %.2f, want >= 1", s)
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_sparql.json")
-	if err := writeJSON(path, record); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var back sparqlRecord
-	if err := dec.Decode(&back); err != nil {
-		t.Fatalf("strict decode of %s: %v", path, err)
-	}
-	if back.Experiment != record.Experiment || len(back.Queries) != len(record.Queries) {
-		t.Fatal("record did not round-trip")
-	}
+	roundTrip(t, record)
 }

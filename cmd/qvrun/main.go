@@ -278,8 +278,9 @@ func runStream(ctx context.Context, f *qurator.Framework, viewXML []byte, cfg st
 		return fail(stderr, err)
 	}
 
-	in := make(chan stream.Item, cfg.Parallelism)
-	results := make(chan stream.WindowResult, cfg.Parallelism)
+	par := enactor.Config().Parallelism
+	in := make(chan stream.Item, par)
+	results := make(chan stream.WindowResult, par)
 	readErr := make(chan error, 1)
 	go func() { readErr <- stream.ReadItems(stdin, in) }()
 	runErr := make(chan error, 1)

@@ -194,6 +194,12 @@ func TestStreamModeBadConfig(t *testing.T) {
 	if !strings.Contains(stderr, "window") {
 		t.Errorf("stderr = %s", stderr)
 	}
+	for _, p := range []string{"-1", "257"} {
+		code, _, stderr := runQvrun(t, "", "-stream", "-parallelism", p)
+		if code != 1 || !strings.Contains(stderr, "parallelism") {
+			t.Errorf("-parallelism %s: exit = %d, stderr = %s", p, code, stderr)
+		}
+	}
 }
 
 func TestStreamModeMalformedInput(t *testing.T) {

@@ -74,7 +74,9 @@ func main() {
 	fmt.Println("compiled quality workflow:")
 	fmt.Println(compiled.Describe())
 
-	f.Repositories.ClearCaches()
+	if err := f.Repositories.ClearCaches(); err != nil {
+		log.Fatal(err)
+	}
 	out, err := compiled.Run(context.Background(), items)
 	if err != nil {
 		log.Fatal(err)

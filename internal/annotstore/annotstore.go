@@ -20,6 +20,7 @@
 package annotstore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -72,7 +73,7 @@ type Store interface {
 	// Len returns the number of (item, type) annotations stored.
 	Len() int
 	// Clear removes every annotation.
-	Clear()
+	Clear() error
 	// Query runs a SPARQL query against the annotation graph.
 	Query(query string) (*sparql.Result, error)
 }
@@ -95,9 +96,6 @@ type Repository struct {
 	// observer, when set, is invoked (under the write lock) for every
 	// successful Put — the quality cube's feed.
 	observer func(Annotation, time.Time)
-	// lastErr records a store write failure on a path whose signature
-	// cannot return it (ExpireBefore); see Err.
-	lastErr error
 }
 
 // New returns an empty repository. persistent records the §4 distinction
@@ -263,18 +261,16 @@ func (r *Repository) Len() int {
 }
 
 // Clear removes every annotation; used between runs on cache repositories.
-// With a durable backend the clear is WAL-logged like any other mutation
-// (a store write failure is recorded in Err).
-func (r *Repository) Clear() {
+// With a durable backend the clear is WAL-logged like any other mutation,
+// and a store write failure is returned.
+func (r *Repository) Clear() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.store != nil {
-		if err := r.store.Clear(); err != nil {
-			r.lastErr = err
-		}
-		return
+		return r.store.Clear()
 	}
 	r.graph.Clear()
+	return nil
 }
 
 // Query runs a SPARQL query against the annotation graph — the paper's
@@ -364,13 +360,18 @@ func (reg *Registry) Names() []string {
 
 // ClearCaches clears every non-persistent repository — invoked between
 // quality-process executions, since cache annotations are only valid for
-// a single run (paper §4 / §5.1 persistent="false").
-func (reg *Registry) ClearCaches() {
+// a single run (paper §4 / §5.1 persistent="false"). It clears them all
+// and returns their failures joined.
+func (reg *Registry) ClearCaches() error {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
+	var errs []error
 	for _, r := range reg.repos {
 		if !r.Persistent() {
-			r.Clear()
+			if err := r.Clear(); err != nil {
+				errs = append(errs, fmt.Errorf("annotstore: clear %s: %w", r.Name(), err))
+			}
 		}
 	}
+	return errors.Join(errs...)
 }

@@ -68,8 +68,9 @@ func (r *Repository) RecordedAt(item evidence.Item, typ rdf.Term) time.Time {
 
 // ExpireBefore removes every annotation recorded strictly before the
 // cutoff, returning the number removed. Unstamped annotations are treated
-// as infinitely old and removed too.
-func (r *Repository) ExpireBefore(cutoff time.Time) int {
+// as infinitely old and removed too. A durable store's write failure is
+// returned, and nothing is removed.
+func (r *Repository) ExpireBefore(cutoff time.Time) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	type target struct {
@@ -94,8 +95,7 @@ func (r *Repository) ExpireBefore(cutoff time.Time) int {
 		dels = append(dels, rdf.T(v.item, ontology.ContainsEvidence, v.node))
 	}
 	if err := r.applyLocked(dels, nil); err != nil {
-		r.lastErr = err
-		return 0
+		return 0, err
 	}
-	return len(victims)
+	return len(victims), nil
 }

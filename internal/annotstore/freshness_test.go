@@ -52,7 +52,10 @@ func TestExpireBefore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	removed := r.ExpireBefore(base.Add(24 * time.Hour))
+	removed, err := r.ExpireBefore(base.Add(24 * time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if removed != 1 {
 		t.Fatalf("ExpireBefore removed %d, want 1", removed)
 	}
@@ -66,8 +69,8 @@ func TestExpireBefore(t *testing.T) {
 		t.Errorf("Len = %d, want 1", r.Len())
 	}
 	// Idempotent on a fresh store.
-	if removed := r.ExpireBefore(base.Add(24 * time.Hour)); removed != 0 {
-		t.Errorf("second expiry removed %d", removed)
+	if removed, err := r.ExpireBefore(base.Add(24 * time.Hour)); err != nil || removed != 0 {
+		t.Errorf("second expiry removed %d, err %v", removed, err)
 	}
 }
 
@@ -86,7 +89,7 @@ func TestExpireBeforeTreatsUnstampedAsStale(t *testing.T) {
 	if _, ok := r.Get(p, ontology.EvidenceCode); !ok {
 		t.Fatal("stripping the stamp lost the annotation")
 	}
-	if removed := r.ExpireBefore(time.Now()); removed != 1 {
-		t.Errorf("unstamped annotation should expire, removed %d", removed)
+	if removed, err := r.ExpireBefore(time.Now()); err != nil || removed != 1 {
+		t.Errorf("unstamped annotation should expire, removed %d, err %v", removed, err)
 	}
 }

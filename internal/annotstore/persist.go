@@ -77,13 +77,3 @@ func (r *Repository) SetObserver(fn func(Annotation, time.Time)) {
 	defer r.mu.Unlock()
 	r.observer = fn
 }
-
-// Err returns the last store write failure from a path that cannot
-// report one directly (ExpireBefore, Clear), and clears it.
-func (r *Repository) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	err := r.lastErr
-	r.lastErr = nil
-	return err
-}

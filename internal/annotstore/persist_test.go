@@ -66,11 +66,12 @@ func TestPersistClearAndExpire(t *testing.T) {
 	restore()
 
 	// Expire everything stamped before "now": all three.
-	if n := r.ExpireBefore(time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)); n != 3 {
-		t.Fatalf("ExpireBefore removed %d, want 3", n)
-	}
-	if err := r.Err(); err != nil {
+	n, err := r.ExpireBefore(time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n != 3 {
+		t.Fatalf("ExpireBefore removed %d, want 3", n)
 	}
 	if err := r.Put(Annotation{
 		Item: rdf.IRI("urn:lsid:x:new"), Type: ontology.Q("HitRatio"), Value: evidence.Float(1),
@@ -84,8 +85,7 @@ func TestPersistClearAndExpire(t *testing.T) {
 		t.Fatalf("after expiry+restart Len = %d, want 1", r2.Len())
 	}
 	// And a durable Clear.
-	r2.Clear()
-	if err := r2.Err(); err != nil {
+	if err := r2.Clear(); err != nil {
 		t.Fatal(err)
 	}
 	r2.CloseStore()

@@ -515,20 +515,23 @@ func (c *Compiled) Execute(ctx context.Context, in workflow.Ports) (workflow.Por
 	if m, ok := in[PortDataSet].(*evidence.Map); ok {
 		inputSize = m.Len()
 	}
-	c.finish(out, log.Failures(), degraded, inputSize, started, span.TraceID)
+	if err := c.finish(out, log.Failures(), degraded, inputSize, started, span.TraceID); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
 // finish is the per-view epilogue of every enactment of c, standalone
 // (Execute) or as a member of a merged plan (MultiView.EnactMap): it
 // routes undecided items per the degraded mode, then records the run in
-// the provenance log when one is attached.
-func (c *Compiled) finish(out workflow.Ports, failures []Failure, mode DegradedMode, inputSize int, started time.Time, traceID string) {
+// the provenance log when one is attached, returning the log's store
+// write failure.
+func (c *Compiled) finish(out workflow.Ports, failures []Failure, mode DegradedMode, inputSize int, started time.Time, traceID string) error {
 	if mode != DegradeOff {
 		c.applyDegradedRouting(out, failures, mode)
 	}
 	if c.Provenance == nil {
-		return
+		return nil
 	}
 	rec := provenance.Record{
 		View:       c.Workflow.Name(),
@@ -544,7 +547,10 @@ func (c *Compiled) finish(out workflow.Ports, failures []Failure, mode DegradedM
 			rec.Outputs[name] = m.Len()
 		}
 	}
-	c.Provenance.Record(rec)
+	if _, err := c.Provenance.Record(rec); err != nil {
+		return fmt.Errorf("compiler: view %q: provenance: %w", c.Workflow.Name(), err)
+	}
+	return nil
 }
 
 // Describe renders the compiled workflow structure (processors + links)

@@ -120,8 +120,8 @@ type FailureLog struct {
 // NewFailureLog returns an empty log.
 func NewFailureLog() *FailureLog { return &FailureLog{} }
 
-// add records one failure.
-func (l *FailureLog) add(f Failure) {
+// Add records one failure.
+func (l *FailureLog) Add(f Failure) {
 	l.mu.Lock()
 	l.failures = append(l.failures, f)
 	l.mu.Unlock()
@@ -192,7 +192,7 @@ func (d *degradeProcessor) Execute(ctx context.Context, in workflow.Ports) (work
 	if m != nil {
 		f.Items = append([]evidence.Item(nil), m.Items()...)
 	}
-	log.add(f)
+	log.Add(f)
 	degradedFailures.With(d.inner.Name()).Inc()
 	switch d.pmode {
 	case modeAnnotator:

@@ -464,7 +464,7 @@ func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string
 				g.Processor = orig
 				vfail = append(vfail, g)
 				if hasOuter {
-					outer.add(g)
+					outer.Add(g)
 				}
 			}
 		}
@@ -482,7 +482,10 @@ func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string
 		if ann, ok := out[member.prefix+OutputAnnotations].(*evidence.Map); ok {
 			vout[OutputAnnotations] = ann.Clone()
 		}
-		v.finish(vout, vfail, mode, in.Len(), started, span.TraceID)
+		if err := v.finish(vout, vfail, mode, in.Len(), started, span.TraceID); err != nil {
+			results[vname] = ViewResult{Err: err}
+			continue
+		}
 
 		res := ViewResult{Outputs: make(map[string]*evidence.Map, len(vout))}
 		for name, val := range vout {

@@ -308,7 +308,9 @@ func termCountsForItems(world *World, items []evidence.Item) (map[string]int, er
 // and the accepted identifications plus the filtered GO-term counts are
 // returned.
 func (p *Pipeline) Run(ctx context.Context) (*RunOutput, error) {
-	p.Repos.ClearCaches()
+	if err := p.Repos.ClearCaches(); err != nil {
+		return nil, err
+	}
 	out, err := p.Host.Run(ctx, nil)
 	if err != nil {
 		return nil, err

@@ -101,13 +101,3 @@ func (l *Log) CloseStore() error {
 	l.store = nil
 	return err
 }
-
-// Err returns the last store write failure (Record cannot return one —
-// its signature predates persistence) and clears it.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.lastErr
-	l.lastErr = nil
-	return err
-}

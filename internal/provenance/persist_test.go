@@ -23,15 +23,14 @@ func TestPersistRunsSurviveReopen(t *testing.T) {
 	}
 	started := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 3; i++ {
-		l.Record(Record{
+		if _, err := l.Record(Record{
 			View:      "wf-quality",
 			Started:   started.Add(time.Duration(i) * time.Minute),
 			InputSize: 10 + i,
 			Outputs:   map[string]int{"accept": i},
-		})
-	}
-	if err := l.Err(); err != nil {
-		t.Fatal(err)
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.CloseStore(); err != nil {
 		t.Fatal(err)
@@ -50,7 +49,10 @@ func TestPersistRunsSurviveReopen(t *testing.T) {
 		t.Fatalf("LastRun = %+v, %v", rec, ok)
 	}
 	// The run counter resumes past the recovered runs: no IRI collisions.
-	run := l2.Record(Record{View: "wf-quality", Started: started.Add(time.Hour)})
+	run, err := l2.Record(Record{View: "wf-quality", Started: started.Add(time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.HasSuffix(run.Value(), "run/4") {
 		t.Fatalf("post-reopen run IRI = %s, want .../run/4", run)
 	}

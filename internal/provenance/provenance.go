@@ -88,9 +88,6 @@ type Log struct {
 	seq   int
 	// store, when set, is the durable backend; graph aliases store.Graph().
 	store *mstore.Store
-	// lastErr records a store write failure — Record's signature (kept
-	// stable for its compiler-side callers) cannot return one; see Err.
-	lastErr error
 	// emissions indexes WindowEmission records by idempotency key (the
 	// graph holds the durable truth; this is its lookup structure,
 	// rebuilt from the graph on Persist).
@@ -102,8 +99,10 @@ func NewLog() *Log {
 	return &Log{graph: rdf.NewGraph(), emissions: make(map[string]string)}
 }
 
-// Record appends a run and returns its resource IRI.
-func (l *Log) Record(rec Record) rdf.Term {
+// Record appends a run and returns its resource IRI. With a durable
+// backend the run is WAL-committed before Record returns; a store write
+// failure is returned and leaves the run unrecorded.
+func (l *Log) Record(rec Record) (rdf.Term, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
@@ -134,14 +133,15 @@ func (l *Log) Record(rec Record) rdf.Term {
 	}
 	if l.store != nil {
 		if _, err := l.store.AddBatch(adds); err != nil {
-			l.lastErr = err
+			l.seq--
+			return rdf.Term{}, err
 		}
 	} else {
 		for _, t := range adds {
 			l.graph.MustAdd(t)
 		}
 	}
-	return run
+	return run, nil
 }
 
 // RecordEmission journals one emitted stream window under its

@@ -26,9 +26,9 @@ func TestRecordAndLastRun(t *testing.T) {
 	if _, ok := l.LastRun(); ok {
 		t.Fatal("empty log should have no last run")
 	}
-	run := l.Record(sampleRecord(0))
-	if run.IsZero() || l.Len() != 1 {
-		t.Fatalf("Record = %v, Len = %d", run, l.Len())
+	run, err := l.Record(sampleRecord(0))
+	if err != nil || run.IsZero() || l.Len() != 1 {
+		t.Fatalf("Record = %v, %v, Len = %d", run, err, l.Len())
 	}
 	got, ok := l.LastRun()
 	if !ok {

@@ -235,7 +235,10 @@ func RepositoryHandler(reg *annotstore.Registry) http.Handler {
 		if !ok {
 			return
 		}
-		s.Clear()
+		if err := s.Clear(); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.WriteHeader(http.StatusNoContent)
 	})
 
@@ -328,7 +331,7 @@ type RemoteRepository struct {
 }
 
 // setErr records a failure from a Store method whose signature cannot
-// carry an error (Get, Enrich, Items, Len, Clear), so callers can
+// carry an error (Get, Enrich, Items, Len), so callers can
 // distinguish "no annotation" from "the wire failed".
 func (r *RemoteRepository) setErr(err error) {
 	r.mu.Lock()
@@ -554,10 +557,10 @@ func (r *RemoteRepository) Len() int {
 
 // Clear implements annotstore.Store. Clearing is set-semantic (clearing
 // twice equals clearing once), so the call is marked replayable.
-func (r *RemoteRepository) Clear() {
+func (r *RemoteRepository) Clear() error {
 	_, err := r.client.do(context.Background(), http.MethodDelete,
 		"/repositories/"+r.name+"/annotations", nil, http.StatusNoContent, true)
-	r.setErr(err)
+	return err
 }
 
 // Query implements annotstore.Store. SPARQL evaluation is read-only, so

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"qurator/internal/annotstore"
@@ -165,5 +166,29 @@ func TestRemoteRepositoryCleanMissClearsLastError(t *testing.T) {
 	}
 	if err := remote.LastError(); err != nil {
 		t.Errorf("clean 404 miss should clear LastError, got %v", err)
+	}
+}
+
+// failingClear is a repository whose durable clear fails.
+type failingClear struct{ *annotstore.Repository }
+
+func (failingClear) Clear() error { return errors.New("disk full") }
+
+// TestRemoteClearReportsFailure: a clear that fails on the hosting node
+// answers 500, and the remote proxy's Clear returns it; ClearCaches on a
+// local registry returns the same failure.
+func TestRemoteClearReportsFailure(t *testing.T) {
+	reg := annotstore.NewRegistry()
+	reg.Add(failingClear{annotstore.New("broken", false)})
+	srv := httptest.NewServer(RepositoryHandler(reg))
+	defer srv.Close()
+
+	remote := NewRemoteRepository(&Client{BaseURL: srv.URL}, "broken", false)
+	var se *StatusError
+	if err := remote.Clear(); !errors.As(err, &se) || se.Status != http.StatusInternalServerError {
+		t.Errorf("remote Clear = %v, want *StatusError with status 500", err)
+	}
+	if err := reg.ClearCaches(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("ClearCaches = %v, want the clear failure", err)
 	}
 }

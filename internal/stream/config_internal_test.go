@@ -10,14 +10,22 @@ import (
 // TestNormaliseDefaults pins the defaults normalise fills in: a count
 // window slides by its own width (tumbling) and runs on one worker, an
 // event-time window's slide defaults to its duration and leaves the
-// count window unset.
+// count window unset. A negative or over-cap parallelism is refused.
 func TestNormaliseDefaults(t *testing.T) {
-	got, err := normalise(Config{Window: 4, Parallelism: -3})
+	got, err := normalise(Config{Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Parallelism != 1 || got.Slide != 4 {
 		t.Errorf("normalised config = %+v", got)
+	}
+	for _, p := range []int{-3, maxParallelism + 1} {
+		if _, err := normalise(Config{Window: 4, Parallelism: p}); err == nil {
+			t.Errorf("parallelism %d accepted", p)
+		}
+	}
+	if got, err := normalise(Config{Window: 4, Parallelism: maxParallelism}); err != nil || got.Parallelism != maxParallelism {
+		t.Errorf("parallelism at the cap: %+v, %v", got, err)
 	}
 	got, err = normalise(Config{EventTimeKey: ontology.ObservedAt, WindowDuration: time.Second})
 	if err != nil {

@@ -136,8 +136,8 @@ func Handler(compile CompileFunc, opts ...HandlerOption) http.Handler {
 		w.Header().Set("X-Accel-Buffering", "no") // proxies: don't buffer
 		w.Header().Set(telemetry.TraceIDHeader, span.TraceID)
 		flush := func() { _ = rc.Flush() }
-		in := make(chan Item, cfg.Parallelism)
-		results := make(chan WindowResult, cfg.Parallelism)
+		in := make(chan Item, e.cfg.Parallelism)
+		results := make(chan WindowResult, e.cfg.Parallelism)
 
 		readErr := make(chan error, 1)
 		go func() { readErr <- ReadItems(r.Body, in) }()

@@ -161,6 +161,24 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsBadParallelism: a negative or over-cap parallelism
+// is refused with 400 before any channel or worker is sized from it.
+func TestHandlerRejectsBadParallelism(t *testing.T) {
+	srv := streamServer(t)
+	for _, p := range []string{"-1", "257", "1099511627776"} {
+		resp, err := http.Post(srv.URL+"/stream/enact?view=protein-id-quality&parallelism="+p,
+			"application/x-ndjson", strings.NewReader(""))
+		if err != nil {
+			t.Fatalf("parallelism=%s: %v", p, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "parallelism") {
+			t.Fatalf("parallelism=%s: status = %d, body %q, want 400", p, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestHandlerReportsMalformedInput(t *testing.T) {
 	srv := streamServer(t)
 	body := "{\"item\":\"urn:lsid:test.org:hit:0\"}\nnot json\n"

@@ -212,8 +212,8 @@ type Config struct {
 	// the context of the full window.
 	Slide int
 	// Parallelism is the worker-pool degree: how many windows enact
-	// concurrently (default 1). Per-window order is preserved at the
-	// output regardless.
+	// concurrently (0 means 1; at most 256). Per-window order
+	// is preserved at the output regardless.
 	Parallelism int
 	// DropPartial suppresses the final short window when the input closes
 	// mid-window; by default the remainder is enacted as a partial window.
@@ -355,7 +355,10 @@ func normalise(cfg Config) (Config, error) {
 			return cfg, fmt.Errorf("stream: slide must be in [1, window], got %d", cfg.Slide)
 		}
 	}
-	if cfg.Parallelism < 1 {
+	switch {
+	case cfg.Parallelism < 0 || cfg.Parallelism > maxParallelism:
+		return cfg, fmt.Errorf("stream: parallelism must be in [0, %d], got %d", maxParallelism, cfg.Parallelism)
+	case cfg.Parallelism == 0:
 		cfg.Parallelism = 1
 	}
 	if cfg.Drift != nil {
@@ -364,6 +367,10 @@ func normalise(cfg Config) (Config, error) {
 	}
 	return cfg, nil
 }
+
+// maxParallelism caps Config.Parallelism: the worker pool and the
+// channels between its stages are sized from it.
+const maxParallelism = 256
 
 // New validates the configuration and prepares a streaming enactor for
 // the compiled view: a merged plan of one, which enacts each window
@@ -410,6 +417,10 @@ func NewMulti(mv *compiler.MultiView, cfg Config) (*Enactor, error) {
 	}
 	return e, nil
 }
+
+// Config returns the enactor's normalised configuration, with defaults
+// filled in; callers size the channels they feed Run from it.
+func (e *Enactor) Config() Config { return e.cfg }
 
 // Run consumes items from in until it closes or ctx is cancelled,
 // enacting windows and emitting their results on out in window order. It

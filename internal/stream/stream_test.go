@@ -405,9 +405,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := stream.New(c, stream.Config{Window: 4, Slide: -1}); err == nil {
 		t.Error("negative slide accepted")
 	}
-	e, err := stream.New(c, stream.Config{Window: 4, Parallelism: -3})
+	if _, err := stream.New(c, stream.Config{Window: 4, Parallelism: -3}); err == nil {
+		t.Error("negative parallelism accepted")
+	}
+	e, err := stream.New(c, stream.Config{Window: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if p := e.Config().Parallelism; p != 1 {
+		t.Errorf("default parallelism = %d, want 1", p)
 	}
 	if p := e.Plans()[0]; len(p.QAs) != 3 {
 		t.Errorf("plan = %+v", p)

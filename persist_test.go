@@ -41,13 +41,13 @@ func TestPersistenceSurvivesRestart(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	run := f.Provenance.Record(provenance.Record{
+	run, err := f.Provenance.Record(provenance.Record{
 		View:      "test-view",
 		Started:   time.Now(),
 		InputSize: 2,
 		Outputs:   map[string]int{"accept:out": 1},
 	})
-	if err := f.Provenance.Err(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasSuffix(run.Value(), "run/1") {
@@ -94,7 +94,10 @@ func TestPersistenceSurvivesRestart(t *testing.T) {
 		t.Fatalf("LastRun after restart = %+v, %v", rec, ok)
 	}
 	// Run numbering continues, never collides.
-	run2 := f2.Provenance.Record(provenance.Record{View: "second", Started: time.Now()})
+	run2, err := f2.Provenance.Record(provenance.Record{View: "second", Started: time.Now()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.HasSuffix(run2.Value(), "run/2") {
 		t.Fatalf("post-restart run IRI = %s, want .../run/2", run2)
 	}

@@ -276,7 +276,21 @@ func (f *Framework) ExecuteView(ctx context.Context, viewXML []byte, items []Ite
 	if err != nil {
 		return nil, err
 	}
-	f.Repositories.ClearCaches()
+	if err := f.Repositories.ClearCaches(); err != nil {
+		// An uncleared cache may hold the previous run's annotations. A
+		// degraded run survives that like a failed service: every item's
+		// evidence is marked degraded and undecided items are routed per
+		// the policy. Without a degraded mode the run does not start.
+		if compiled.DegradedMode() == compiler.DegradeOff {
+			return nil, err
+		}
+		log, ok := compiler.FailureLogFrom(ctx)
+		if !ok {
+			log = compiler.NewFailureLog()
+			ctx = compiler.WithFailureLog(ctx, log)
+		}
+		log.Add(compiler.Failure{Processor: "clear-caches", Err: err, Items: items})
+	}
 	return compiled.Run(ctx, items)
 }
 
