@@ -66,8 +66,9 @@ type Store interface {
 	// Get retrieves the annotation value for (item, type).
 	Get(item evidence.Item, typ rdf.Term) (evidence.Value, bool)
 	// Enrich fills the map with stored values of the requested types for
-	// every item, returning the number of values added.
-	Enrich(m *evidence.Map, types []rdf.Term) int
+	// every item, returning the number of values added, or the failure
+	// that kept the store from answering.
+	Enrich(m *evidence.Map, types []rdf.Term) (int, error)
 	// Items returns all annotated items, sorted.
 	Items() []evidence.Item
 	// Len returns the number of (item, type) annotations stored.
@@ -147,8 +148,13 @@ func (r *Repository) Put(a Annotation) error {
 
 	node := evidenceNode(a.Item, a.Type)
 	at := nowUTC()
-	// Overwrite any previous value/source statements for this node.
-	dels := r.graph.Match(node, rdf.Term{}, rdf.Term{})
+	// Overwrite any previous value/source statements for this node. Apply
+	// deletes them all before adding, so their order does not matter.
+	var dels []rdf.Triple
+	r.graph.ForEachMatch(node, rdf.Term{}, rdf.Term{}, func(t rdf.Triple) bool {
+		dels = append(dels, t)
+		return true
+	})
 	typeIRI := rdf.IRI(rdf.RDFType)
 	adds := []rdf.Triple{
 		rdf.T(a.Item, ontology.ContainsEvidence, node),
@@ -213,8 +219,8 @@ func (r *Repository) Source(item evidence.Item, typ rdf.Term) rdf.Term {
 // Enrich fills the annotation map with stored values of the requested
 // evidence types for every item in the map — the Data Enrichment operator
 // of §4.1 performs exactly this repository lookup keyed on d ∈ D, e ∈ E.
-// It returns the number of values added.
-func (r *Repository) Enrich(m *evidence.Map, types []rdf.Term) int {
+// It returns the number of values added; an in-memory lookup cannot fail.
+func (r *Repository) Enrich(m *evidence.Map, types []rdf.Term) (int, error) {
 	n := 0
 	for _, item := range m.Items() {
 		for _, typ := range types {
@@ -224,7 +230,7 @@ func (r *Repository) Enrich(m *evidence.Map, types []rdf.Term) int {
 			}
 		}
 	}
-	return n
+	return n, nil
 }
 
 // Items returns all annotated items, sorted.

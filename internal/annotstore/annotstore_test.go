@@ -103,7 +103,10 @@ func TestEnrichFillsAnnotationMap(t *testing.T) {
 
 	m := evidence.NewMap(items...)
 	m.AddItem(protein("P-unknown"))
-	n := r.Enrich(m, []rdf.Term{ontology.HitRatio, ontology.MassCoverage})
+	n, err := r.Enrich(m, []rdf.Term{ontology.HitRatio, ontology.MassCoverage})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n != 4 {
 		t.Errorf("Enrich added %d values, want 4", n)
 	}

@@ -104,14 +104,19 @@ type DataEnrichment struct {
 }
 
 // Enrich fills the map with stored values for every configured evidence
-// type, returning the number of values added.
+// type, returning the number of values added. It stops at the first
+// repository that fails to answer and returns its failure.
 func (d *DataEnrichment) Enrich(m *evidence.Map) (int, error) {
 	n := 0
 	for _, src := range d.Sources {
 		if src.Repository == nil {
 			return n, fmt.Errorf("ops: enrichment source for %v has no repository", src.Type)
 		}
-		n += src.Repository.Enrich(m, []rdf.Term{src.Type})
+		k, err := src.Repository.Enrich(m, []rdf.Term{src.Type})
+		n += k
+		if err != nil {
+			return n, fmt.Errorf("ops: enrichment of %v from %s: %w", src.Type, src.Repository.Name(), err)
+		}
 	}
 	return n, nil
 }

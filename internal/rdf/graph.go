@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -79,20 +81,17 @@ func (g *Graph) Snapshot() *Snapshot {
 
 // prepWrite makes the current view privately writable: if a Snapshot or
 // Clone shares the current generation, the generation advances and the
-// root maps are forked. Inner index nodes fork lazily as writes touch
-// them. Callers must hold g.mu.
+// three root maps are forked. Inner index nodes, which carry the per-term
+// counts, fork lazily as writes touch them. Callers must hold g.mu.
 func (g *Graph) prepWrite() {
 	if !g.sealed {
 		return
 	}
 	g.gen++
 	g.sealed = false
-	g.v.spo = forkRoot(g.v.spo)
-	g.v.pos = forkRoot(g.v.pos)
-	g.v.osp = forkRoot(g.v.osp)
-	g.v.subjN = forkCounts(g.v.subjN)
-	g.v.predN = forkCounts(g.v.predN)
-	g.v.objN = forkCounts(g.v.objN)
+	g.v.spo = maps.Clone(g.v.spo)
+	g.v.pos = maps.Clone(g.v.pos)
+	g.v.osp = maps.Clone(g.v.osp)
 }
 
 // Add inserts a triple. It returns true if the triple was not already
@@ -113,9 +112,6 @@ func (g *Graph) addLocked(t Triple) bool {
 	}
 	addIdx(g.v.pos, g.gen, t.Predicate, t.Object, t.Subject)
 	addIdx(g.v.osp, g.gen, t.Object, t.Subject, t.Predicate)
-	g.v.subjN[t.Subject]++
-	g.v.predN[t.Predicate]++
-	g.v.objN[t.Object]++
 	g.v.n++
 	return true
 }
@@ -158,9 +154,6 @@ func (g *Graph) Remove(t Triple) bool {
 	}
 	delIdx(g.v.pos, g.gen, t.Predicate, t.Object, t.Subject)
 	delIdx(g.v.osp, g.gen, t.Object, t.Subject, t.Predicate)
-	decCount(g.v.subjN, t.Subject)
-	decCount(g.v.predN, t.Predicate)
-	decCount(g.v.objN, t.Object)
 	g.v.n--
 	return true
 }
@@ -265,115 +258,247 @@ func (g *Graph) Clone() *Graph {
 
 // ---- generation-tagged copy-on-write index nodes ----
 
+// smallNode is the most entries an index node keeps in a slice, found by
+// linear scan; a node that grows past it switches to a map for good.
+// Almost every leaf of an annotation or provenance graph holds one term:
+// as a slice it costs one term, as a Go map several hundred bytes.
+const smallNode = 8
+
 // midMap is the middle level of one index rotation (e.g. predicate →
-// object set under a subject). leafSet is the innermost term set. Both
-// carry the write generation that owns them: a node whose gen differs
-// from the graph's current gen is shared with a snapshot and is forked
-// before mutation.
+// object set under a subject) and leafSet the innermost term set. Each
+// keeps its entries in s while small and in m (s nil) above smallNode.
+// Both carry the write generation that owns them: a node whose gen
+// differs from the graph's current gen is shared with a snapshot and is
+// forked before mutation. A midMap also counts the triples under its
+// root key — the O(1) per-term cardinality statistic.
 type midMap struct {
 	gen uint64
+	n   int
+	s   []midEntry
 	m   map[Term]*leafSet
+}
+
+type midEntry struct {
+	key  Term
+	leaf *leafSet
 }
 
 type leafSet struct {
 	gen uint64
+	s   []Term
 	m   map[Term]struct{}
 }
 
+// fork copies the node for generation gen. The slice gets a fresh
+// backing array, so the shared node never sees a later append or
+// swap-remove.
 func (n *midMap) fork(gen uint64) *midMap {
-	m := make(map[Term]*leafSet, len(n.m))
-	for k, v := range n.m {
-		m[k] = v
+	if n.m != nil {
+		return &midMap{gen: gen, n: n.n, m: maps.Clone(n.m)}
 	}
-	return &midMap{gen: gen, m: m}
+	return &midMap{gen: gen, n: n.n, s: slices.Clone(n.s)}
 }
 
-func (n *leafSet) fork(gen uint64) *leafSet {
-	m := make(map[Term]struct{}, len(n.m))
-	for k := range n.m {
-		m[k] = struct{}{}
+func (l *leafSet) fork(gen uint64) *leafSet {
+	if l.m != nil {
+		return &leafSet{gen: gen, m: maps.Clone(l.m)}
 	}
-	return &leafSet{gen: gen, m: m}
+	return &leafSet{gen: gen, s: slices.Clone(l.s)}
 }
 
-func forkRoot(root map[Term]*midMap) map[Term]*midMap {
-	out := make(map[Term]*midMap, len(root))
-	for k, v := range root {
-		out[k] = v
+func (n *midMap) get(k Term) (*leafSet, bool) {
+	if n.m != nil {
+		leaf, ok := n.m[k]
+		return leaf, ok
 	}
-	return out
+	for _, e := range n.s {
+		if e.key == k {
+			return e.leaf, true
+		}
+	}
+	return nil, false
 }
 
-func forkCounts(c map[Term]int) map[Term]int {
-	out := make(map[Term]int, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
+func (n *midMap) has(b, c Term) bool {
+	leaf, ok := n.get(b)
+	return ok && leaf.has(c)
 }
 
-func addIdx(root map[Term]*midMap, gen uint64, a, b, c Term) bool {
-	mid, ok := root[a]
-	switch {
-	case !ok:
-		mid = &midMap{gen: gen, m: make(map[Term]*leafSet, 1)}
-		root[a] = mid
-	case mid.gen != gen:
-		mid = mid.fork(gen)
-		root[a] = mid
+// each calls fn for every entry until fn returns false, and reports
+// whether it ran to the end.
+func (n *midMap) each(fn func(Term, *leafSet) bool) bool {
+	if n.m != nil {
+		for k, leaf := range n.m {
+			if !fn(k, leaf) {
+				return false
+			}
+		}
+		return true
 	}
-	leaf, ok := mid.m[b]
-	switch {
-	case !ok:
-		leaf = &leafSet{gen: gen, m: make(map[Term]struct{}, 1)}
-		mid.m[b] = leaf
-	case leaf.gen != gen:
-		leaf = leaf.fork(gen)
-		mid.m[b] = leaf
-	}
-	if _, ok := leaf.m[c]; ok {
-		return false
-	}
-	leaf.m[c] = struct{}{}
-	return true
-}
-
-func delIdx(root map[Term]*midMap, gen uint64, a, b, c Term) bool {
-	mid, ok := root[a]
-	if !ok {
-		return false
-	}
-	leaf, ok := mid.m[b]
-	if !ok {
-		return false
-	}
-	if _, ok := leaf.m[c]; !ok {
-		return false
-	}
-	if mid.gen != gen {
-		mid = mid.fork(gen)
-		root[a] = mid
-	}
-	if leaf = mid.m[b]; leaf.gen != gen {
-		leaf = leaf.fork(gen)
-		mid.m[b] = leaf
-	}
-	delete(leaf.m, c)
-	if len(leaf.m) == 0 {
-		delete(mid.m, b)
-		if len(mid.m) == 0 {
-			delete(root, a)
+	for _, e := range n.s {
+		if !fn(e.key, e.leaf) {
+			return false
 		}
 	}
 	return true
 }
 
-func decCount(c map[Term]int, t Term) {
-	if c[t] <= 1 {
-		delete(c, t)
-	} else {
-		c[t]--
+// writableLeaf returns the leaf under k owned by gen: forked if shared,
+// created empty if absent. n itself must be owned by gen.
+func (n *midMap) writableLeaf(k Term, gen uint64) *leafSet {
+	if n.m != nil {
+		leaf, ok := n.m[k]
+		switch {
+		case !ok:
+			leaf = &leafSet{gen: gen}
+			n.m[k] = leaf
+		case leaf.gen != gen:
+			leaf = leaf.fork(gen)
+			n.m[k] = leaf
+		}
+		return leaf
 	}
+	for i := range n.s {
+		if e := &n.s[i]; e.key == k {
+			if e.leaf.gen != gen {
+				e.leaf = e.leaf.fork(gen)
+			}
+			return e.leaf
+		}
+	}
+	leaf := &leafSet{gen: gen}
+	if len(n.s) < smallNode {
+		n.s = append(n.s, midEntry{k, leaf})
+		return leaf
+	}
+	n.m = make(map[Term]*leafSet, smallNode+1)
+	for _, e := range n.s {
+		n.m[e.key] = e.leaf
+	}
+	n.m[k], n.s = leaf, nil
+	return leaf
+}
+
+// del removes the entry under k, which must be present.
+func (n *midMap) del(k Term) {
+	if n.m != nil {
+		delete(n.m, k)
+		return
+	}
+	last := len(n.s) - 1
+	for i, e := range n.s {
+		if e.key == k {
+			n.s[i] = n.s[last]
+			n.s[last] = midEntry{}
+			n.s = n.s[:last]
+			return
+		}
+	}
+}
+
+func (l *leafSet) size() int {
+	if l.m != nil {
+		return len(l.m)
+	}
+	return len(l.s)
+}
+
+func (l *leafSet) has(t Term) bool {
+	if l.m != nil {
+		_, ok := l.m[t]
+		return ok
+	}
+	return slices.Contains(l.s, t)
+}
+
+// each calls fn for every term until fn returns false, and reports
+// whether it ran to the end.
+func (l *leafSet) each(fn func(Term) bool) bool {
+	if l.m != nil {
+		for t := range l.m {
+			if !fn(t) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, t := range l.s {
+		if !fn(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// add inserts t, which must be absent.
+func (l *leafSet) add(t Term) {
+	switch {
+	case l.m != nil:
+		l.m[t] = struct{}{}
+	case len(l.s) < smallNode:
+		l.s = append(l.s, t)
+	default:
+		l.m = make(map[Term]struct{}, smallNode+1)
+		for _, x := range l.s {
+			l.m[x] = struct{}{}
+		}
+		l.m[t], l.s = struct{}{}, nil
+	}
+}
+
+// del removes t, which must be present.
+func (l *leafSet) del(t Term) {
+	if l.m != nil {
+		delete(l.m, t)
+		return
+	}
+	last := len(l.s) - 1
+	i := slices.Index(l.s, t)
+	l.s[i] = l.s[last]
+	l.s[last] = Term{}
+	l.s = l.s[:last]
+}
+
+// addIdx inserts (a, b, c) into one index rotation, forking the nodes on
+// its path that gen does not own; it reports false, forking nothing, if
+// the entry is already present.
+func addIdx(root map[Term]*midMap, gen uint64, a, b, c Term) bool {
+	mid, ok := root[a]
+	switch {
+	case !ok:
+		mid = &midMap{gen: gen}
+		root[a] = mid
+	case mid.has(b, c):
+		return false
+	case mid.gen != gen:
+		mid = mid.fork(gen)
+		root[a] = mid
+	}
+	mid.writableLeaf(b, gen).add(c)
+	mid.n++
+	return true
+}
+
+func delIdx(root map[Term]*midMap, gen uint64, a, b, c Term) bool {
+	mid, ok := root[a]
+	if !ok || !mid.has(b, c) {
+		return false
+	}
+	if mid.n == 1 {
+		delete(root, a)
+		return true
+	}
+	if mid.gen != gen {
+		mid = mid.fork(gen)
+		root[a] = mid
+	}
+	if leaf, _ := mid.get(b); leaf.size() == 1 {
+		mid.del(b)
+	} else {
+		mid.writableLeaf(b, gen).del(c)
+	}
+	mid.n--
+	return true
 }
 
 func termLess(a, b Term) bool {

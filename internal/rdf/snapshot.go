@@ -33,26 +33,20 @@ type DatasetStats struct {
 // after which no writer ever mutates its nodes (copy-on-write).
 type view struct {
 	// spo indexes subject → predicate → object set; pos and osp are the
-	// rotations used to answer patterns with unbound subjects.
+	// rotations used to answer patterns with unbound subjects. Each root
+	// node counts the triples under its key, so the three roots are also
+	// the per-position cardinality statistics.
 	spo map[Term]*midMap
 	pos map[Term]*midMap
 	osp map[Term]*midMap
-	// subjN/predN/objN count the triples carrying each term in the
-	// corresponding position — the O(1) cardinality statistics.
-	subjN map[Term]int
-	predN map[Term]int
-	objN  map[Term]int
-	n     int
+	n   int
 }
 
 func newView() view {
 	return view{
-		spo:   make(map[Term]*midMap),
-		pos:   make(map[Term]*midMap),
-		osp:   make(map[Term]*midMap),
-		subjN: make(map[Term]int),
-		predN: make(map[Term]int),
-		objN:  make(map[Term]int),
+		spo: make(map[Term]*midMap),
+		pos: make(map[Term]*midMap),
+		osp: make(map[Term]*midMap),
 	}
 }
 
@@ -104,13 +98,8 @@ func (s *Snapshot) Triples() []Triple { return s.v.match(Term{}, Term{}, Term{})
 // ---- shared read algorithms ----
 
 func (v *view) has(t Triple) bool {
-	if mid, ok := v.spo[t.Subject]; ok {
-		if leaf, ok := mid.m[t.Predicate]; ok {
-			_, ok := leaf.m[t.Object]
-			return ok
-		}
-	}
-	return false
+	mid, ok := v.spo[t.Subject]
+	return ok && mid.has(t.Predicate, t.Object)
 }
 
 func (v *view) forEachMatch(s, p, o Term, fn func(Triple) bool) {
@@ -119,77 +108,40 @@ func (v *view) forEachMatch(s, p, o Term, fn func(Triple) bool) {
 		if v.has(T(s, p, o)) {
 			fn(T(s, p, o))
 		}
-	case !s.IsZero() && !p.IsZero():
-		if mid, ok := v.spo[s]; ok {
-			if leaf, ok := mid.m[p]; ok {
-				for obj := range leaf.m {
-					if !fn(T(s, p, obj)) {
-						return
-					}
-				}
-			}
-		}
-	case !s.IsZero() && !o.IsZero():
-		if mid, ok := v.osp[o]; ok {
-			if leaf, ok := mid.m[s]; ok {
-				for pred := range leaf.m {
-					if !fn(T(s, pred, o)) {
-						return
-					}
-				}
-			}
-		}
-	case !p.IsZero() && !o.IsZero():
-		if mid, ok := v.pos[p]; ok {
-			if leaf, ok := mid.m[o]; ok {
-				for subj := range leaf.m {
-					if !fn(T(subj, p, o)) {
-						return
-					}
-				}
-			}
-		}
+	case !s.IsZero() && o.IsZero():
+		walk(v.spo, s, p, func(pred, obj Term) bool { return fn(T(s, pred, obj)) })
 	case !s.IsZero():
-		if mid, ok := v.spo[s]; ok {
-			for pred, leaf := range mid.m {
-				for obj := range leaf.m {
-					if !fn(T(s, pred, obj)) {
-						return
-					}
-				}
-			}
-		}
+		walk(v.osp, o, s, func(subj, pred Term) bool { return fn(T(subj, pred, o)) })
 	case !p.IsZero():
-		if mid, ok := v.pos[p]; ok {
-			for obj, leaf := range mid.m {
-				for subj := range leaf.m {
-					if !fn(T(subj, p, obj)) {
-						return
-					}
-				}
-			}
-		}
+		walk(v.pos, p, o, func(obj, subj Term) bool { return fn(T(subj, p, obj)) })
 	case !o.IsZero():
-		if mid, ok := v.osp[o]; ok {
-			for subj, leaf := range mid.m {
-				for pred := range leaf.m {
-					if !fn(T(subj, pred, o)) {
-						return
-					}
-				}
-			}
-		}
+		walk(v.osp, o, Term{}, func(subj, pred Term) bool { return fn(T(subj, pred, o)) })
 	default:
 		for subj, mid := range v.spo {
-			for pred, leaf := range mid.m {
-				for obj := range leaf.m {
-					if !fn(T(subj, pred, obj)) {
-						return
-					}
-				}
+			if !walkMid(mid, Term{}, func(pred, obj Term) bool { return fn(T(subj, pred, obj)) }) {
+				return
 			}
 		}
 	}
+}
+
+// walk calls fn(b, c) for every entry (a, b, c) of one index rotation
+// with the given a, and with the given b unless b is zero, until fn
+// returns false.
+func walk(root map[Term]*midMap, a, b Term, fn func(b, c Term) bool) {
+	if mid, ok := root[a]; ok {
+		walkMid(mid, b, fn)
+	}
+}
+
+func walkMid(mid *midMap, b Term, fn func(b, c Term) bool) bool {
+	if !b.IsZero() {
+		leaf, ok := mid.get(b)
+		return !ok || leaf.each(func(c Term) bool { return fn(b, c) })
+	}
+	return mid.each(func(b Term, leaf *leafSet) bool {
+		return leaf.each(func(c Term) bool { return fn(b, c) })
+	})
 }
 
 func (v *view) match(s, p, o Term) []Triple {
@@ -209,44 +161,41 @@ func (v *view) cardinality(s, p, o Term) int {
 			return 1
 		}
 		return 0
-	case !s.IsZero() && !p.IsZero():
-		if mid, ok := v.spo[s]; ok {
-			if leaf, ok := mid.m[p]; ok {
-				return len(leaf.m)
-			}
-		}
-		return 0
-	case !p.IsZero() && !o.IsZero():
-		if mid, ok := v.pos[p]; ok {
-			if leaf, ok := mid.m[o]; ok {
-				return len(leaf.m)
-			}
-		}
-		return 0
-	case !s.IsZero() && !o.IsZero():
-		if mid, ok := v.osp[o]; ok {
-			if leaf, ok := mid.m[s]; ok {
-				return len(leaf.m)
-			}
-		}
-		return 0
+	case !s.IsZero() && o.IsZero():
+		return count(v.spo, s, p)
 	case !s.IsZero():
-		return v.subjN[s]
+		return count(v.osp, o, s)
 	case !p.IsZero():
-		return v.predN[p]
+		return count(v.pos, p, o)
 	case !o.IsZero():
-		return v.objN[o]
+		return count(v.osp, o, Term{})
 	default:
 		return v.n
 	}
 }
 
+// count returns the number of entries (a, b, ·) of one index rotation,
+// or (a, ·, ·) when b is zero.
+func count(root map[Term]*midMap, a, b Term) int {
+	mid, ok := root[a]
+	switch {
+	case !ok:
+		return 0
+	case b.IsZero():
+		return mid.n
+	}
+	if leaf, ok := mid.get(b); ok {
+		return leaf.size()
+	}
+	return 0
+}
+
 func (v *view) stats() DatasetStats {
 	return DatasetStats{
 		Triples:    v.n,
-		Subjects:   len(v.subjN),
-		Predicates: len(v.predN),
-		Objects:    len(v.objN),
+		Subjects:   len(v.spo),
+		Predicates: len(v.pos),
+		Objects:    len(v.osp),
 	}
 }
 

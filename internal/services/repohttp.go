@@ -269,7 +269,10 @@ func RepositoryHandler(reg *annotstore.Registry) http.Handler {
 				types = append(types, rdf.IRI(t))
 			}
 		}
-		s.Enrich(m, types)
+		if _, err := s.Enrich(m, types); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		resp := NewEnvelope(m)
 		data, err := resp.Marshal()
 		if err != nil {
@@ -331,7 +334,7 @@ type RemoteRepository struct {
 }
 
 // setErr records a failure from a Store method whose signature cannot
-// carry an error (Get, Enrich, Items, Len), so callers can
+// carry an error (Get, Items, Len), so callers can
 // distinguish "no annotation" from "the wire failed".
 func (r *RemoteRepository) setErr(err error) {
 	r.mu.Lock()
@@ -480,8 +483,10 @@ func (r *RemoteRepository) Get(item evidence.Item, typ rdf.Term) (evidence.Value
 	return v, true
 }
 
-// Enrich implements annotstore.Store with a single bulk round trip.
-func (r *RemoteRepository) Enrich(m *evidence.Map, types []rdf.Term) int {
+// Enrich implements annotstore.Store with a single bulk round trip. A
+// transport failure, a non-2xx answer (*StatusError) or an unreadable
+// one (*DecodeError) is returned, with no value added.
+func (r *RemoteRepository) Enrich(m *evidence.Map, types []rdf.Term) (int, error) {
 	req := NewEnvelope(evidence.NewMap(m.Items()...))
 	var typeStrs []string
 	for _, t := range types {
@@ -490,26 +495,21 @@ func (r *RemoteRepository) Enrich(m *evidence.Map, types []rdf.Term) int {
 	req.Config.Set("types", strings.Join(typeStrs, ","))
 	body, err := req.Marshal()
 	if err != nil {
-		r.setErr(err)
-		return 0
+		return 0, err
 	}
 	path := "/repositories/" + r.name + "/enrich"
 	data, err := r.client.do(context.Background(), http.MethodPost, path, body, http.StatusOK, true)
 	if err != nil {
-		r.setErr(err)
-		return 0
+		return 0, err
 	}
 	resp, err := UnmarshalEnvelope(data)
 	if err != nil {
-		r.setErr(&DecodeError{Path: path, Err: err})
-		return 0
+		return 0, &DecodeError{Path: path, Err: err}
 	}
 	enriched, err := resp.Map()
 	if err != nil {
-		r.setErr(&DecodeError{Path: path, Err: err})
-		return 0
+		return 0, &DecodeError{Path: path, Err: err}
 	}
-	r.setErr(nil)
 	n := 0
 	for _, item := range enriched.Items() {
 		for _, typ := range types {
@@ -519,7 +519,7 @@ func (r *RemoteRepository) Enrich(m *evidence.Map, types []rdf.Term) int {
 			}
 		}
 	}
-	return n
+	return n, nil
 }
 
 // Items implements annotstore.Store.

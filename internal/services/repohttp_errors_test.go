@@ -19,7 +19,8 @@ import (
 // misbehaves: every failure mode must surface as a typed error —
 // *StatusError for non-2xx answers, *DecodeError for malformed or
 // truncated bodies — either on the method's own error return or, for
-// the error-less annotstore.Store methods, via LastError. A wire
+// the error-less annotstore.Store methods (Get, Items, Len), via
+// LastError. A wire
 // failure must never be silently indistinguishable from "no data".
 
 func brokenServer(t *testing.T, handler http.HandlerFunc) *Client {
@@ -55,11 +56,12 @@ func TestRemoteRepositoryNon2xxSurfacesStatusError(t *testing.T) {
 	}
 
 	m := evidence.NewMap(item(0))
-	if n := remote.Enrich(m, []rdf.Term{ontology.HitRatio}); n != 0 {
+	n, err := remote.Enrich(m, []rdf.Term{ontology.HitRatio})
+	if n != 0 {
 		t.Errorf("Enrich against a 500 server added %d", n)
 	}
-	if err := remote.LastError(); !errors.As(err, &se) {
-		t.Errorf("Enrich LastError = %v, want *StatusError", err)
+	if !errors.As(err, &se) || se.Status != 500 {
+		t.Errorf("Enrich error = %v, want *StatusError with status 500", err)
 	}
 
 	if got := remote.Items(); got != nil {
@@ -97,11 +99,12 @@ func TestRemoteRepositoryMalformedXMLSurfacesDecodeError(t *testing.T) {
 	}
 
 	m := evidence.NewMap(item(0))
-	if n := remote.Enrich(m, []rdf.Term{ontology.HitRatio}); n != 0 {
+	n, err := remote.Enrich(m, []rdf.Term{ontology.HitRatio})
+	if n != 0 {
 		t.Errorf("Enrich of garbage XML added %d", n)
 	}
-	if err := remote.LastError(); !errors.As(err, &de) {
-		t.Errorf("Enrich LastError = %v, want *DecodeError", err)
+	if !errors.As(err, &de) {
+		t.Errorf("Enrich error = %v, want *DecodeError", err)
 	}
 
 	if _, err := remote.Query("ASK { ?a ?b ?c . }"); !errors.As(err, &de) {
@@ -190,5 +193,28 @@ func TestRemoteClearReportsFailure(t *testing.T) {
 	}
 	if err := reg.ClearCaches(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("ClearCaches = %v, want the clear failure", err)
+	}
+}
+
+// failingEnrich is a repository whose lookups fail.
+type failingEnrich struct{ *annotstore.Repository }
+
+func (failingEnrich) Enrich(*evidence.Map, []rdf.Term) (int, error) {
+	return 0, errors.New("index unavailable")
+}
+
+// TestRemoteEnrichReportsFailure: an enrichment that fails on the hosting
+// node answers 500, and the remote proxy's Enrich returns it.
+func TestRemoteEnrichReportsFailure(t *testing.T) {
+	reg := annotstore.NewRegistry()
+	reg.Add(failingEnrich{annotstore.New("broken", true)})
+	srv := httptest.NewServer(RepositoryHandler(reg))
+	defer srv.Close()
+
+	remote := NewRemoteRepository(&Client{BaseURL: srv.URL}, "broken", true)
+	var se *StatusError
+	_, err := remote.Enrich(evidence.NewMap(item(0)), []rdf.Term{ontology.HitRatio})
+	if !errors.As(err, &se) || se.Status != http.StatusInternalServerError || !strings.Contains(se.Body, "index unavailable") {
+		t.Errorf("remote Enrich = %v, want *StatusError with status 500 naming the failure", err)
 	}
 }

@@ -94,7 +94,10 @@ func TestRemoteEnrichBulk(t *testing.T) {
 	defer done()
 	remote := NewRemoteRepository(client, "default", true)
 	m := evidence.NewMap(item(0), item(1), item(2), item(99))
-	n := remote.Enrich(m, []rdf.Term{ontology.HitRatio})
+	n, err := remote.Enrich(m, []rdf.Term{ontology.HitRatio})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n != 3 {
 		t.Errorf("remote Enrich added %d, want 3", n)
 	}
