@@ -18,6 +18,27 @@ const heartbeatAddrHeader = "X-Qurator-Node-Addr"
 // rings disagree mid-rebalance, the second hop wins rather than looping.
 const forwardedHeader = "X-Qurator-Forwarded"
 
+// Body limits of the /cluster POSTs: a journal entry carries a whole
+// window's decisions and gets the repository upload limit (Commit refuses
+// to replicate a larger one); join and leave carry one NodeInfo.
+const (
+	maxJournalBody = 64 << 20
+	maxMemberBody  = 1 << 20
+)
+
+// isWindowKey reports whether s is in the alphabet of the journal's
+// content-addressed keys (hex digests, see stream's windowKey). A key
+// becomes part of an IRI in the provenance graph, so a peer must not be
+// able to write one that the durable store could not read back.
+func isWindowKey(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return s != ""
+}
+
 // Status is the GET /cluster response: one node's view of the fleet.
 type Status struct {
 	Self        NodeInfo `json:"self"`
@@ -126,7 +147,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var info NodeInfo
-	if err := json.NewDecoder(r.Body).Decode(&info); err != nil || info.ID == "" || info.Addr == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMemberBody)).Decode(&info); err != nil || info.ID == "" || info.Addr == "" {
 		http.Error(w, "cluster: join body must be {\"id\":..., \"addr\":...}", http.StatusBadRequest)
 		return
 	}
@@ -147,7 +168,7 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var info NodeInfo
-	if err := json.NewDecoder(r.Body).Decode(&info); err != nil || info.ID == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMemberBody)).Decode(&info); err != nil || info.ID == "" {
 		http.Error(w, "cluster: leave body must be {\"id\":...}", http.StatusBadRequest)
 		return
 	}
@@ -161,8 +182,12 @@ func (n *Node) handleJournal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var e JournalEntry
-	if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJournalBody)).Decode(&e); err != nil {
 		http.Error(w, "cluster: bad journal entry: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if !isWindowKey(e.Key) || (e.Result.Supersedes != "" && !isWindowKey(e.Result.Supersedes)) {
+		http.Error(w, "cluster: journal key and supersedes must be lower-case hex", http.StatusBadRequest)
 		return
 	}
 	if err := n.journal.Absorb(e); err != nil {

@@ -22,27 +22,28 @@ type JournalEntry struct {
 
 // Journal is the fleet's emission record: it implements
 // stream.WindowJournal so the streaming enactor consults it before
-// enacting and commits into it before emitting. Backed by the durable
-// provenance log when one is attached (entries survive restarts via the
-// metadata WAL) and replicated to live peers on commit, so a window
-// decided on a node that dies a millisecond later is still recognised —
-// and its original decisions replayed — when the client resumes on the
-// new owner. That commit-replicate-then-emit ordering is the at-most-once
+// enacting and commits into it before emitting. Its only store is a
+// provenance log: each entry is a q:WindowEmission resource there, so
+// entries survive restarts via the metadata WAL when the log is durable.
+// Entries are replicated to live peers on commit, so a window decided on
+// a node that dies a millisecond later is still recognised — and its
+// original decisions replayed — when the client resumes on the new
+// owner. That commit-replicate-then-emit ordering is the at-most-once
 // half of the fleet's exactly-once argument (the replaying client is the
 // at-least-once half).
 type Journal struct {
 	node *Node           // set by AttachJournal; nil when standalone
-	log  *provenance.Log // durable backing; nil = memory only
-
-	mu  sync.Mutex
-	mem map[string]stream.WindowResult
+	log  *provenance.Log // the journal's only store
 }
 
 // NewJournal builds a journal over the given provenance log. A nil log
-// keeps emissions in memory only — fine for tests, not for failover
-// across process restarts.
+// gets a fresh in-memory one — fine for tests, not for failover across
+// process restarts.
 func NewJournal(log *provenance.Log) *Journal {
-	return &Journal{log: log, mem: make(map[string]stream.WindowResult)}
+	if log == nil {
+		log = provenance.NewLog()
+	}
+	return &Journal{log: log}
 }
 
 func (j *Journal) nodeID() string {
@@ -53,44 +54,22 @@ func (j *Journal) nodeID() string {
 }
 
 // Len returns the number of journaled emissions.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	n := len(j.mem)
-	j.mu.Unlock()
-	if j.log != nil {
-		// The log may hold entries recovered from the WAL that were never
-		// looked up (and so never cached) this run.
-		if ln := j.log.Emissions(); ln > n {
-			n = ln
-		}
-	}
-	return n
-}
+func (j *Journal) Len() int { return j.log.Emissions() }
 
 // Lookup implements stream.WindowJournal: the journaled result for key,
 // whether committed locally, absorbed from a peer, or recovered from the
 // provenance WAL after a restart.
 func (j *Journal) Lookup(key string) (stream.WindowResult, bool) {
-	j.mu.Lock()
-	res, ok := j.mem[key]
-	j.mu.Unlock()
-	if !ok && j.log != nil {
-		payload, found := j.log.Emission(key)
-		if !found {
-			return stream.WindowResult{}, false
-		}
-		if err := json.Unmarshal([]byte(payload), &res); err != nil {
-			return stream.WindowResult{}, false
-		}
-		j.mu.Lock()
-		j.mem[key] = res
-		j.mu.Unlock()
-		ok = true
+	payload, ok := j.log.Emission(key)
+	if !ok {
+		return stream.WindowResult{}, false
 	}
-	if ok {
-		clusterReplays.With(j.nodeID()).Inc()
+	var res stream.WindowResult
+	if err := json.Unmarshal([]byte(payload), &res); err != nil {
+		return stream.WindowResult{}, false
 	}
-	return res, ok
+	clusterReplays.With(j.nodeID()).Inc()
+	return res, true
 }
 
 // Commit implements stream.WindowJournal: record the emission durably,
@@ -99,27 +78,33 @@ func (j *Journal) Lookup(key string) (stream.WindowResult, bool) {
 // replication failure is fatal only when NO live peer accepted the entry
 // while peers exist — with zero replicas, this node's death would lose
 // the at-most-once guarantee for a window whose decisions already
-// escaped.
+// escaped. An entry larger than a peer's journal body limit fails before
+// anything is recorded, since no peer would accept it.
 func (j *Journal) Commit(key string, res stream.WindowResult) error {
+	var live []Member
+	if j.node != nil {
+		for _, p := range j.node.Peers() {
+			if p.Status == Alive {
+				live = append(live, p)
+			}
+		}
+	}
+	var body []byte
+	if len(live) > 0 {
+		var err error
+		if body, err = json.Marshal(JournalEntry{Key: key, Result: res}); err != nil {
+			return fmt.Errorf("cluster: journal entry %s: %w", key, err)
+		}
+		if len(body) > maxJournalBody {
+			return fmt.Errorf("cluster: journal entry %s is %d bytes, above the %d MiB a peer accepts; use a smaller window",
+				key, len(body), maxJournalBody>>20)
+		}
+	}
 	if err := j.record(key, res, "local"); err != nil {
 		return err
 	}
-	if j.node == nil {
-		return nil
-	}
-	peers := j.node.Peers()
-	live := peers[:0]
-	for _, p := range peers {
-		if p.Status == Alive {
-			live = append(live, p)
-		}
-	}
 	if len(live) == 0 {
 		return nil
-	}
-	body, err := json.Marshal(JournalEntry{Key: key, Result: res})
-	if err != nil {
-		return fmt.Errorf("cluster: journal entry %s: %w", key, err)
 	}
 	var (
 		wg sync.WaitGroup
@@ -169,43 +154,23 @@ func (j *Journal) replicate(p Member, body []byte) error {
 // the same key twice (two peers racing, or a retried replication) is a
 // no-op, so replication can be freely retried.
 func (j *Journal) Absorb(e JournalEntry) error {
-	if e.Key == "" {
-		return fmt.Errorf("cluster: journal entry without key")
-	}
-	j.mu.Lock()
-	_, dup := j.mem[e.Key]
-	j.mu.Unlock()
-	if dup {
-		return nil
-	}
 	return j.record(e.Key, e.Result, "peer")
 }
 
-// record writes one entry through to the provenance log (when attached)
-// and the memory index.
+// record writes one entry through to the provenance log. A late
+// re-emission revises an earlier window's decisions: the log links the
+// two with q:Supersedes in the same batch, so the provenance graph keeps
+// the full decision lineage across failovers.
 func (j *Journal) record(key string, res stream.WindowResult, origin string) error {
-	if j.log != nil {
-		payload, err := json.Marshal(res)
-		if err != nil {
-			return fmt.Errorf("cluster: journal entry %s: %w", key, err)
-		}
-		if err := j.log.RecordEmission(key, res.View, string(payload)); err != nil {
-			return fmt.Errorf("cluster: journal entry %s: %w", key, err)
-		}
-		// A late re-emission revises an earlier window's decisions: link
-		// the two emissions with q:Supersedes so the provenance graph
-		// keeps the full decision lineage across failovers.
-		if res.Supersedes != "" {
-			if err := j.log.RecordSupersession(key, res.Supersedes); err != nil {
-				return fmt.Errorf("cluster: journal entry %s: %w", key, err)
-			}
-		}
+	payload, err := json.Marshal(res)
+	if err != nil {
+		return fmt.Errorf("cluster: journal entry %s: %w", key, err)
 	}
-	j.mu.Lock()
-	_, dup := j.mem[key]
-	j.mem[key] = res
-	j.mu.Unlock()
-	if !dup {
+	added, err := j.log.RecordEmission(key, res.View, res.Supersedes, string(payload))
+	if err != nil {
+		return fmt.Errorf("cluster: journal entry %s: %w", key, err)
+	}
+	if added {
 		clusterJournalEntries.With(j.nodeID(), origin).Inc()
 	}
 	return nil

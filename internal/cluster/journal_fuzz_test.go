@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"unicode/utf8"
@@ -40,6 +44,61 @@ func FuzzJournalRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, res) {
 			t.Fatalf("journal round trip changed the result:\n got %+v\nwant %+v", got, res)
+		}
+	})
+}
+
+// FuzzAbsorbJournalEntry posts arbitrary bytes to a standalone node's
+// /cluster/journal. The answer is 200 or 4xx, never a 5xx or a panic; an
+// accepted entry reads back as the result it carried; and posting the
+// same bytes again adds nothing. Results compare as JSON bytes, because
+// an empty classes map comes back nil.
+func FuzzAbsorbJournalEntry(f *testing.F) {
+	f.Add([]byte(`{"key":"4bf9","result":{"window":2,"size":4,"view":"paper","decisions":[{"item":"urn:lsid:t:hit:0","window":2,"outputs":["accept:out"],"classes":{}}],"stats":{"q:HitRatio":{"n":4,"mean":0.5,"stddev":0.1,"lo":0.4,"hi":0.6}}}}`))
+	f.Add([]byte(`{"key":"0a","result":{"window":0,"size":1,"late":true,"supersedes":"4bf9","decisions":[{"item":"x","window":0,"outputs":null}]}}`))
+	f.Add([]byte(`{"result":{}}`))
+	f.Add([]byte(`{"key":"b","result":{"window":1e999}}`))
+	f.Add([]byte(`{"key":"b","result":null} trailing`))
+	f.Add([]byte(`{"key":"a> <b","result":{"view":"v"}}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		n, err := NewNode(Config{Self: NodeInfo{ID: "n1", Addr: "http://127.0.0.1:1"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		post := func() int {
+			rec := httptest.NewRecorder()
+			n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster/journal", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code > 499) {
+				t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+			}
+			return rec.Code
+		}
+		if post() != http.StatusOK {
+			return
+		}
+		var e JournalEntry
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&e); err != nil {
+			t.Fatalf("accepted body does not decode: %v", err)
+		}
+		got, ok := n.Journal().Lookup(e.Key)
+		if !ok {
+			t.Fatalf("accepted key %q not found", e.Key)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(e.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("journal changed the result:\n got %s\nwant %s", gotJSON, wantJSON)
+		}
+		size := n.Journal().Len()
+		post()
+		if got := n.Journal().Len(); got != size {
+			t.Fatalf("re-posting the same entry changed Len from %d to %d", size, got)
 		}
 	})
 }

@@ -36,16 +36,6 @@ func (l *Log) Persist(dir string, opts mstore.Options) error {
 	if seq := maxRunSeq(l.graph); seq > l.seq {
 		l.seq = seq
 	}
-	// Rebuild the window-emission index: recovered emissions must answer
-	// Lookup immediately, or a restarted node would re-enact (and
-	// re-emit) windows it already delivered.
-	for _, t := range l.graph.Match(rdf.Term{}, rdf.IRI(rdf.RDFType), emissionClass) {
-		key := l.graph.FirstObject(t.Subject, propEmitKey).Value()
-		payload := l.graph.FirstObject(t.Subject, propEmitResult).Value()
-		if key != "" {
-			l.emissions[key] = payload
-		}
-	}
 	return nil
 }
 

@@ -101,11 +101,11 @@ func TestEmissionsSurviveRestart(t *testing.T) {
 	if err := l.Persist(dir, mstore.Options{Fsync: mstore.FsyncNever}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.RecordEmission("k1", "paper", `{"window":0}`); err != nil {
+	if _, err := l.RecordEmission("k1", "paper", "", `{"window":0}`); err != nil {
 		t.Fatal(err)
 	}
 	// Set semantics: same key again is a no-op, not a duplicate.
-	if err := l.RecordEmission("k1", "paper", `{"window":999}`); err != nil {
+	if _, err := l.RecordEmission("k1", "paper", "", `{"window":999}`); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.CloseStore(); err != nil {

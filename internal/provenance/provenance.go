@@ -88,15 +88,11 @@ type Log struct {
 	seq   int
 	// store, when set, is the durable backend; graph aliases store.Graph().
 	store *mstore.Store
-	// emissions indexes WindowEmission records by idempotency key (the
-	// graph holds the durable truth; this is its lookup structure,
-	// rebuilt from the graph on Persist).
-	emissions map[string]string
 }
 
 // NewLog returns an empty provenance log.
 func NewLog() *Log {
-	return &Log{graph: rdf.NewGraph(), emissions: make(map[string]string)}
+	return &Log{graph: rdf.NewGraph()}
 }
 
 // Record appends a run and returns its resource IRI. With a durable
@@ -131,72 +127,62 @@ func (l *Log) Record(rec Record) (rdf.Term, error) {
 			rdf.T(node, propCondAct, rdf.Literal(action)),
 			rdf.T(node, propCondExpr, rdf.Literal(expr)))
 	}
-	if l.store != nil {
-		if _, err := l.store.AddBatch(adds); err != nil {
-			l.seq--
-			return rdf.Term{}, err
-		}
-	} else {
-		for _, t := range adds {
-			l.graph.MustAdd(t)
-		}
+	if err := l.addLocked(adds); err != nil {
+		l.seq--
+		return rdf.Term{}, err
 	}
 	return run, nil
 }
 
+// addLocked is the log's single write path: through the durable store
+// when one is attached (WAL-committed before the graph changes) or
+// straight into the graph otherwise. The caller holds l.mu.
+func (l *Log) addLocked(adds []rdf.Triple) error {
+	if l.store != nil {
+		_, err := l.store.AddBatch(adds)
+		return err
+	}
+	_, err := l.graph.AddBatch(adds)
+	return err
+}
+
+// emissionNS prefixes the resource of each journaled window emission.
+const emissionNS = ontology.QuratorNS + "emission/"
+
+// emissionNode is the resource of the window emission journaled under key.
+func emissionNode(key string) rdf.Term { return rdf.IRI(emissionNS + key) }
+
 // RecordEmission journals one emitted stream window under its
-// content-addressed idempotency key. Recording is set-semantic: a key
-// already present is a no-op (re-recording the same emission cannot
-// duplicate it), so replication and crash-replay may deliver the same
-// entry any number of times. With a durable backend the entry is
-// WAL-committed before RecordEmission returns.
-func (l *Log) RecordEmission(key, view, payload string) error {
+// content-addressed idempotency key, and reports whether the key was new.
+// A non-empty supersedes names the emission this late re-emission
+// revises: the q:Supersedes link commits in the same batch as the
+// emission, so no crash or failed write can keep one without the other.
+// Recording is set-semantic: a key already present is a no-op
+// (re-recording the same emission cannot duplicate it), so replication
+// and crash-replay may deliver the same entry any number of times. With a
+// durable backend the entry is WAL-committed before RecordEmission
+// returns.
+func (l *Log) RecordEmission(key, view, supersedes, payload string) (bool, error) {
+	node := emissionNode(key)
+	typ := rdf.T(node, rdf.IRI(rdf.RDFType), emissionClass)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.emissions[key]; ok {
-		return nil
+	if l.graph.Has(typ) {
+		return false, nil
 	}
-	node := rdf.IRI(ontology.QuratorNS + "emission/" + key)
 	adds := []rdf.Triple{
-		rdf.T(node, rdf.IRI(rdf.RDFType), emissionClass),
+		typ,
 		rdf.T(node, propEmitKey, rdf.Literal(key)),
 		rdf.T(node, propEmitView, rdf.Literal(view)),
 		rdf.T(node, propEmitResult, rdf.Literal(payload)),
 	}
-	if l.store != nil {
-		if _, err := l.store.AddBatch(adds); err != nil {
-			return err
-		}
-	} else {
-		for _, t := range adds {
-			l.graph.MustAdd(t)
-		}
+	if supersedes != "" {
+		adds = append(adds, rdf.T(node, propSupersedes, emissionNode(supersedes)))
 	}
-	l.emissions[key] = payload
-	return nil
-}
-
-// RecordSupersession links a late-data re-emission (newKey) to the
-// emission whose decisions it revises (oldKey) with a q:Supersedes
-// triple. Idempotent: re-recording an existing link is a no-op, so the
-// cluster journal may write it through on every replayed commit.
-func (l *Log) RecordSupersession(newKey, oldKey string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	subj := rdf.IRI(ontology.QuratorNS + "emission/" + newKey)
-	obj := rdf.IRI(ontology.QuratorNS + "emission/" + oldKey)
-	if len(l.graph.Match(subj, propSupersedes, obj)) > 0 {
-		return nil
+	if err := l.addLocked(adds); err != nil {
+		return false, err
 	}
-	t := rdf.T(subj, propSupersedes, obj)
-	if l.store != nil {
-		if _, err := l.store.AddBatch([]rdf.Triple{t}); err != nil {
-			return err
-		}
-	} else {
-		l.graph.MustAdd(t)
-	}
-	return nil
+	return true, nil
 }
 
 // Superseded returns the idempotency key of the emission that newKey
@@ -206,26 +192,28 @@ func (l *Log) RecordSupersession(newKey, oldKey string) error {
 func (l *Log) Superseded(newKey string) (string, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	o := l.graph.FirstObject(rdf.IRI(ontology.QuratorNS+"emission/"+newKey), propSupersedes)
+	o := l.graph.FirstObject(emissionNode(newKey), propSupersedes)
 	if o.Value() == "" {
 		return "", false
 	}
-	return strings.TrimPrefix(o.Value(), ontology.QuratorNS+"emission/"), true
+	return strings.TrimPrefix(o.Value(), emissionNS), true
 }
 
-// Emission returns the journaled payload for an idempotency key.
+// Emission returns the journaled payload for an idempotency key. It reads
+// the graph, so emissions recovered from the durable store after a
+// restart answer at once.
 func (l *Log) Emission(key string) (string, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	p, ok := l.emissions[key]
-	return p, ok
+	o := l.graph.FirstObject(emissionNode(key), propEmitResult)
+	return o.Value(), !o.IsZero()
 }
 
 // Emissions returns the number of journaled window emissions.
 func (l *Log) Emissions() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.emissions)
+	return l.graph.Cardinality(rdf.Term{}, rdf.IRI(rdf.RDFType), emissionClass)
 }
 
 // Len returns the number of recorded runs.

@@ -10,21 +10,18 @@ import (
 // late-data re-emission and the window emission it replaces.
 func TestRecordSupersession(t *testing.T) {
 	l := NewLog()
-	if err := l.RecordEmission("old", "paper", `{"window":0}`); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.RecordEmission("new", "paper", `{"window":0,"late":true}`); err != nil {
+	if _, err := l.RecordEmission("old", "paper", "", `{"window":0}`); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := l.Superseded("new"); ok {
 		t.Fatal("Superseded true before any link recorded")
 	}
-	if err := l.RecordSupersession("new", "old"); err != nil {
+	if _, err := l.RecordEmission("new", "paper", "old", `{"window":0,"late":true}`); err != nil {
 		t.Fatal(err)
 	}
 	// Idempotent: replaying the same link (cluster replication, journal
 	// replay) must not duplicate the triple.
-	if err := l.RecordSupersession("new", "old"); err != nil {
+	if _, err := l.RecordEmission("new", "paper", "old", `{"window":0,"late":true}`); err != nil {
 		t.Fatal(err)
 	}
 	old, ok := l.Superseded("new")
@@ -48,13 +45,10 @@ func TestSupersessionSurvivesRestart(t *testing.T) {
 	if err := l.Persist(dir, mstore.Options{Fsync: mstore.FsyncNever}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.RecordEmission("old", "paper", `{"window":0}`); err != nil {
+	if _, err := l.RecordEmission("old", "paper", "", `{"window":0}`); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.RecordEmission("new", "paper", `{"window":0,"late":true}`); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.RecordSupersession("new", "old"); err != nil {
+	if _, err := l.RecordEmission("new", "paper", "old", `{"window":0,"late":true}`); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.CloseStore(); err != nil {
