@@ -150,3 +150,27 @@ func TestObserverFiresOnPut(t *testing.T) {
 		t.Fatal("removed observer still fired")
 	}
 }
+
+// TestPersistRefusesUnreadableItem: an item IRI that the store's
+// N-Triples records could not read back is refused at Put, so the
+// repository still reopens.
+func TestPersistRefusesUnreadableItem(t *testing.T) {
+	dir := t.TempDir()
+	r := reopen(t, dir)
+	bad := Annotation{Item: rdf.IRI("urn:x> <urn:y"), Type: ontology.Q("HitRatio"), Value: evidence.Float(0.5)}
+	if err := r.Put(bad); err == nil {
+		t.Fatal("Put accepted an item IRI containing '>'")
+	}
+	good := Annotation{Item: rdf.IRI("urn:x"), Type: ontology.Q("HitRatio"), Value: evidence.Float(0.5)}
+	if err := r.Put(good); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	r2 := reopen(t, dir)
+	defer r2.CloseStore()
+	if _, ok := r2.Get(good.Item, good.Type); !ok {
+		t.Fatal("annotation written next to the refused one lost on reopen")
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"qurator/internal/qvlang"
 	"qurator/internal/rdf"
 	"qurator/internal/services"
-	"qurator/internal/telemetry"
 	"qurator/internal/workflow"
 )
 
@@ -43,7 +42,7 @@ type Compiler struct {
 	// via workflow.Timeout.
 	ProcessorTimeout time.Duration
 	// Degraded selects what happens when a quality service fails for
-	// good (see DegradedMode); DegradeOff aborts the enactment.
+	// good (see DegradedMode); DegradeOff fails the run.
 	Degraded DegradedMode
 
 	// ShardSize, when > 0, splits every item-scoped service invocation
@@ -73,8 +72,9 @@ func (c *Compiler) dataplane(p *serviceProcessor) *serviceProcessor {
 // conditions can be modified on-the-fly, from one process execution to
 // the next").
 type Compiled struct {
-	// Workflow is the executable quality workflow; its single input is
-	// PortDataSet and its outputs are one per action port.
+	// Workflow is the executable quality workflow — the workflow of the
+	// view's plan of one; its single input is PortDataSet and its outputs
+	// are one per action port.
 	Workflow *workflow.Workflow
 	// Resolved is the view the workflow was compiled from.
 	Resolved *qvlang.Resolved
@@ -84,21 +84,27 @@ type Compiled struct {
 	// force, input/output sizes, timing) as queryable RDF.
 	Provenance *provenance.Log
 
+	name    string
 	actions map[string]*serviceProcessor
 	// Quality-service processor handles in declaration order — the
-	// fingerprinting substrate for MergeViews (mqo.go).
+	// fingerprinting substrate for MergeViews (mqo.go) — and, by name,
+	// the guarded processors MergeViews lays out.
 	annotators []*serviceProcessor
 	enrichment *serviceProcessor
 	qas        []*serviceProcessor
-	degraded   atomic.Int32 // holds a DegradedMode
+	guarded    map[string]workflow.Processor
+	// one is the view's plan of one: the layout of Workflow and the path
+	// every Run and Execute takes.
+	one      *MultiView
+	degraded atomic.Int32 // holds a DegradedMode
 }
 
 // DegradedMode returns the degraded-enactment policy in force.
 func (c *Compiled) DegradedMode() DegradedMode { return DegradedMode(c.degraded.Load()) }
 
 // SetDegradedMode changes the degraded-enactment policy for subsequent
-// runs (the compiled processors always carry the degrade wrapper; the
-// mode only decides whether Execute opts a run into it). Safe to call
+// runs (every run survives service failures; the mode decides how its
+// undecided items are routed, or, when off, that it fails). Safe to call
 // while enactments are in flight: each run reads the mode once on entry
 // and applies it consistently throughout.
 func (c *Compiled) SetDegradedMode(m DegradedMode) { c.degraded.Store(int32(m)) }
@@ -128,7 +134,8 @@ const (
 	ProcConsolidate = "ConsolidateAssertions"
 )
 
-// Compile applies the §6.1 rules:
+// Compile applies the §6.1 rules. It builds the processors the rules
+// name and lays them out with MergeViews, as the view's plan of one:
 //
 //  1. annotators are added first; their input ports are bound to the
 //     workflow's data set input, their outputs are empty;
@@ -147,36 +154,31 @@ func (c *Compiler) Compile(r *qvlang.Resolved) (*Compiled, error) {
 	if err := checkNameCollisions(r); err != nil {
 		return nil, err
 	}
-	wf := workflow.New(r.View.Name)
 	compiled := &Compiled{
-		Workflow: wf, Resolved: r,
+		name: r.View.Name, Resolved: r,
 		actions: map[string]*serviceProcessor{},
+		guarded: map[string]workflow.Processor{},
 	}
 	compiled.degraded.Store(int32(c.Degraded))
+	withGuard := func(p *serviceProcessor) *serviceProcessor {
+		compiled.guarded[p.name] = c.guard(c.dataplane(p))
+		return p
+	}
 
-	// Rule 1: annotators first.
-	var annotatorNames []string
+	// Rule 1: annotators.
 	for _, ann := range r.Annotators {
 		svc, err := c.serviceFor(ann.Type)
 		if err != nil {
 			return nil, fmt.Errorf("compiler: annotator %q: %w", ann.Decl.ServiceName, err)
 		}
-		name := procName("Annotator", ann.Decl.ServiceName)
 		p := &serviceProcessor{
-			name:   name,
+			name:   procName("Annotator", ann.Decl.ServiceName),
 			svc:    svc,
 			mode:   modeAnnotator,
 			inPort: PortDataSet,
 		}
 		p.config.Set("repositoryRef", ann.Provides[0].Repository)
-		if err := wf.AddProcessor(c.guard(c.dataplane(p))); err != nil {
-			return nil, err
-		}
-		if err := wf.BindInput(PortDataSet, name, PortDataSet); err != nil {
-			return nil, err
-		}
-		annotatorNames = append(annotatorNames, name)
-		compiled.annotators = append(compiled.annotators, p)
+		compiled.annotators = append(compiled.annotators, withGuard(p))
 	}
 
 	// Rule 2: one Data Enrichment operator configured from the derived
@@ -191,85 +193,25 @@ func (c *Compiler) Compile(r *qvlang.Resolved) (*Compiled, error) {
 	for _, ev := range sortedEvidence(r.EvidenceRepo) {
 		de.config.Set(services.SourceParam(ev), r.EvidenceRepo[ev])
 	}
-	if err := wf.AddProcessor(c.guard(c.dataplane(de))); err != nil {
-		return nil, err
-	}
-	compiled.enrichment = de
-	if err := wf.BindInput(PortDataSet, ProcEnrichment, PortDataSet); err != nil {
-		return nil, err
-	}
-	for _, ann := range annotatorNames {
-		if err := wf.AddControlLink(workflow.ControlLink{From: ann, To: ProcEnrichment}); err != nil {
-			return nil, err
-		}
-	}
+	compiled.enrichment = withGuard(de)
 
-	// Rule 3: the enrichment output feeds every QA processor.
-	var qaNames []string
+	// Rule 3: the QAs the enrichment output feeds.
 	for _, as := range r.Assertions {
 		svc, err := c.serviceFor(as.Type)
 		if err != nil {
 			return nil, fmt.Errorf("compiler: assertion %q: %w", as.Decl.ServiceName, err)
 		}
-		name := procName("QA", as.Decl.ServiceName)
-		p := &serviceProcessor{
-			name:   name,
+		compiled.qas = append(compiled.qas, withGuard(&serviceProcessor{
+			name:   procName("QA", as.Decl.ServiceName),
 			svc:    svc,
 			mode:   modeAssertion,
 			inPort: PortAnnotations,
 			outs:   []string{PortAnnotations},
-		}
-		if err := wf.AddProcessor(c.guard(c.dataplane(p))); err != nil {
-			return nil, err
-		}
-		if err := wf.AddLink(workflow.Link{
-			From: ProcEnrichment, FromPort: PortAnnotations,
-			To: name, ToPort: PortAnnotations,
-		}); err != nil {
-			return nil, err
-		}
-		qaNames = append(qaNames, name)
-		compiled.qas = append(compiled.qas, p)
+		}))
 	}
 
-	// Rule 4: consolidate the assertion fan-out. With no QAs, the
-	// enrichment output is consolidated directly.
-	cons := &consolidateProcessor{name: ProcConsolidate}
-	if len(qaNames) == 0 {
-		cons.inputs = []string{"in0"}
-	} else {
-		for i := range qaNames {
-			cons.inputs = append(cons.inputs, fmt.Sprintf("in%d", i))
-		}
-	}
-	if err := wf.AddProcessor(cons); err != nil {
-		return nil, err
-	}
-	if len(qaNames) == 0 {
-		if err := wf.AddLink(workflow.Link{
-			From: ProcEnrichment, FromPort: PortAnnotations, To: ProcConsolidate, ToPort: "in0",
-		}); err != nil {
-			return nil, err
-		}
-	}
-	for i, qaName := range qaNames {
-		if err := wf.AddLink(workflow.Link{
-			From: qaName, FromPort: PortAnnotations,
-			To: ProcConsolidate, ToPort: fmt.Sprintf("in%d", i),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	// The consolidated map is also a workflow output: enactors that need
-	// the full per-item assertion state — classes and scores for rejected
-	// items included, e.g. the streaming enactor's decision records — read
-	// it without re-running the QAs. Compiled.Outputs still lists only the
-	// action outputs.
-	if err := wf.BindOutput(OutputAnnotations, ProcConsolidate, PortAnnotations); err != nil {
-		return nil, err
-	}
-
-	// Rule 5: action processors last; their ports become workflow outputs.
+	// Rule 5: actions. Each output port is a workflow output; rule 4's
+	// consolidation is MergeViews' own.
 	for _, act := range r.Actions {
 		name := procName("Action", act.Name)
 		p := &serviceProcessor{
@@ -281,13 +223,11 @@ func (c *Compiler) Compile(r *qvlang.Resolved) (*Compiled, error) {
 		for ident, key := range r.Vars {
 			p.config.Set(services.VarParam(ident), key.Value())
 		}
-		var outputs []string
 		switch {
 		case act.Filter != nil:
 			p.op = "filter"
 			p.outs = []string{PortAccepted}
 			p.config.Set("condition", act.Filter.String())
-			outputs = []string{PortAccepted}
 		default:
 			p.op = "split"
 			p.mode = modeSplit
@@ -296,30 +236,18 @@ func (c *Compiler) Compile(r *qvlang.Resolved) (*Compiled, error) {
 				p.config.Set("group:"+b.Name, b.Cond.String())
 			}
 			p.outs = append(p.outs, PortDefault)
-			outputs = p.outs
 		}
-		if err := wf.AddProcessor(c.dataplane(p)); err != nil {
-			return nil, err
+		for _, port := range p.outs {
+			compiled.Outputs = append(compiled.Outputs, outputName(act.Name, port))
 		}
-		if err := wf.AddLink(workflow.Link{
-			From: ProcConsolidate, FromPort: PortAnnotations,
-			To: name, ToPort: PortAnnotations,
-		}); err != nil {
-			return nil, err
-		}
-		for _, port := range outputs {
-			outName := outputName(act.Name, port)
-			if err := wf.BindOutput(outName, name, port); err != nil {
-				return nil, err
-			}
-			compiled.Outputs = append(compiled.Outputs, outName)
-		}
-		compiled.actions[act.Name] = p
+		compiled.actions[act.Name] = c.dataplane(p)
 	}
 
-	if err := wf.Validate(); err != nil {
+	one, err := MergeViews(compiled)
+	if err != nil {
 		return nil, err
 	}
+	compiled.one, compiled.Workflow = one, one.Workflow()
 	return compiled, nil
 }
 
@@ -459,29 +387,26 @@ func (c *Compiled) SetBranchCondition(action, branch, cond string) error {
 // output maps keyed by workflow output name ("<action>:<port>"). When a
 // provenance log is attached, the run is recorded.
 func (c *Compiled) Run(ctx context.Context, items []evidence.Item) (map[string]*evidence.Map, error) {
-	in := workflow.Ports{PortDataSet: evidence.NewMap(items...)}
-	out, err := c.Execute(ctx, in) // records provenance when attached
+	return c.enact(ctx, evidence.NewMap(items...))
+}
+
+// enact runs the view's plan of one (MultiView.EnactMap) and returns the
+// view's outputs, or the error that failed its run.
+func (c *Compiled) enact(ctx context.Context, in *evidence.Map) (map[string]*evidence.Map, error) {
+	res, err := c.one.EnactMap(ctx, in)
 	if err != nil {
 		return nil, err
 	}
-	result := make(map[string]*evidence.Map, len(out))
-	for name, v := range out {
-		m, ok := v.(*evidence.Map)
-		if !ok {
-			return nil, fmt.Errorf("compiler: output %q is %T, not *evidence.Map", name, v)
-		}
-		result[name] = m
-	}
-	return result, nil
+	return res[c.name].Outputs, res[c.name].Err
 }
 
-// Compiled implements workflow.Processor by delegating to its workflow,
-// so the quality view embeds into a host as a single node while keeping
+// Compiled implements workflow.Processor by enacting its plan of one, so
+// the quality view embeds into a host as a single node while keeping
 // provenance recording: every enactment — direct or embedded — is logged.
 var _ workflow.Processor = (*Compiled)(nil)
 
 // Name implements workflow.Processor.
-func (c *Compiled) Name() string { return c.Workflow.Name() }
+func (c *Compiled) Name() string { return c.name }
 
 // InputPorts implements workflow.Processor.
 func (c *Compiled) InputPorts() []string { return c.Workflow.InputPorts() }
@@ -489,43 +414,28 @@ func (c *Compiled) InputPorts() []string { return c.Workflow.InputPorts() }
 // OutputPorts implements workflow.Processor.
 func (c *Compiled) OutputPorts() []string { return c.Workflow.OutputPorts() }
 
-// Execute implements workflow.Processor. With a degraded mode set, a
-// FailureLog is attached to the run (unless the caller brought one) so
-// quality-service failures degrade to unknown evidence instead of
-// aborting, and undecided items are routed per the policy afterwards.
+// Execute implements workflow.Processor: Run over the evidence map on
+// PortDataSet.
 func (c *Compiled) Execute(ctx context.Context, in workflow.Ports) (workflow.Ports, error) {
-	started := time.Now()
-	// The enactment span is the trace root for standalone runs and a
-	// child when the view is embedded (host workflow, streaming window);
-	// either way its trace ID lands in the provenance record below.
-	ctx, span := telemetry.StartSpan(ctx, "enact:"+c.Workflow.Name())
-	log, hasLog := FailureLogFrom(ctx)
-	degraded := c.DegradedMode() // read once so a concurrent flip can't split the run
-	if degraded != DegradeOff && !hasLog {
-		log = NewFailureLog()
-		ctx = WithFailureLog(ctx, log)
+	m, ok := in[PortDataSet].(*evidence.Map)
+	if !ok {
+		return nil, fmt.Errorf("compiler: view %q: input %q is %T, not *evidence.Map", c.name, PortDataSet, in[PortDataSet])
 	}
-	out, err := c.Workflow.Execute(ctx, in)
+	outs, err := c.enact(ctx, m)
 	if err != nil {
-		span.EndErr(err)
 		return nil, err
 	}
-	span.End()
-	inputSize := 0
-	if m, ok := in[PortDataSet].(*evidence.Map); ok {
-		inputSize = m.Len()
-	}
-	if err := c.finish(out, log.Failures(), degraded, inputSize, started, span.TraceID); err != nil {
-		return nil, err
+	out := make(workflow.Ports, len(outs))
+	for name, m := range outs {
+		out[name] = m
 	}
 	return out, nil
 }
 
-// finish is the per-view epilogue of every enactment of c, standalone
-// (Execute) or as a member of a merged plan (MultiView.EnactMap): it
-// routes undecided items per the degraded mode, then records the run in
-// the provenance log when one is attached, returning the log's store
-// write failure.
+// finish is the per-view epilogue of every enactment of c, as a member
+// of a plan (MultiView.EnactMap): it routes undecided items per the
+// degraded mode, then records the run in the provenance log when one is
+// attached, returning the log's store write failure.
 func (c *Compiled) finish(out workflow.Ports, failures []Failure, mode DegradedMode, inputSize int, started time.Time, traceID string) error {
 	if mode != DegradeOff {
 		c.applyDegradedRouting(out, failures, mode)
@@ -534,7 +444,7 @@ func (c *Compiled) finish(out workflow.Ports, failures []Failure, mode DegradedM
 		return nil
 	}
 	rec := provenance.Record{
-		View:       c.Workflow.Name(),
+		View:       c.name,
 		Started:    started,
 		Duration:   time.Since(started),
 		InputSize:  inputSize,
@@ -548,7 +458,7 @@ func (c *Compiled) finish(out workflow.Ports, failures []Failure, mode DegradedM
 		}
 	}
 	if _, err := c.Provenance.Record(rec); err != nil {
-		return fmt.Errorf("compiler: view %q: provenance: %w", c.Workflow.Name(), err)
+		return fmt.Errorf("compiler: view %q: provenance: %w", c.name, err)
 	}
 	return nil
 }

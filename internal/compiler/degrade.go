@@ -34,8 +34,8 @@ var degradedFailures = telemetry.Default.CounterVec(
 type DegradedMode int
 
 const (
-	// DegradeOff aborts the enactment on service failure (the strict
-	// pre-resilience behaviour; the default).
+	// DegradeOff fails the run with the failed service's error (the
+	// strict pre-resilience behaviour; the default).
 	DegradeOff DegradedMode = iota
 	// DegradeFailClosed completes the enactment; undecided items are
 	// rejected (appear in no filter output) — conservative: missing
@@ -140,11 +140,12 @@ func (l *FailureLog) Failures() []Failure {
 
 type failureLogKey struct{}
 
-// WithFailureLog attaches a failure log to the context, opting the
-// enactment into degraded-mode failure collection: compiled quality
+// WithFailureLog attaches a failure log to the context: compiled quality
 // processors swallow terminal failures into the log instead of aborting.
-// Compiled.Execute attaches one automatically when a degraded mode is
-// set; callers attach their own to observe the failures of a run.
+// MultiView.EnactMap, which every run of a compiled view goes through,
+// attaches its own log and copies each view's failures into the caller's;
+// callers attach one to observe the failures of a run, or to record a
+// failure before it starts.
 func WithFailureLog(ctx context.Context, l *FailureLog) context.Context {
 	return context.WithValue(ctx, failureLogKey{}, l)
 }
@@ -160,8 +161,9 @@ func FailureLogFrom(ctx context.Context) (*FailureLog, bool) {
 // aborting: the failure is recorded in the run's FailureLog and the
 // processor's inputs pass through untouched — downstream sees the items
 // with whatever evidence they already had, i.e. the failed service's
-// contribution is unknown. With no FailureLog in the context (degraded
-// mode off) the wrapper is transparent and failures abort as before.
+// contribution is unknown. With no FailureLog in the context — a bare
+// workflow run outside MultiView.EnactMap — the wrapper is transparent
+// and a failure aborts that run.
 type degradeProcessor struct {
 	inner  workflow.Processor
 	pmode  mode

@@ -3,6 +3,7 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,5 +371,23 @@ func TestParseDegradedMode(t *testing.T) {
 	}
 	if DegradeQuarantine.String() != "quarantine" || DegradeOff.String() != "off" {
 		t.Error("String() spelling drifted from ParseDegradedMode")
+	}
+}
+
+// TestDegradeOffFailsRunWithCallerFailureLog: a failure log the caller
+// brings does not turn a DegradeOff run into a degraded one. The run
+// returns the failed QA's error, and the caller's log holds the failure.
+func TestDegradeOffFailsRunWithCallerFailureLog(t *testing.T) {
+	c := degradeCompiler(t, map[string]func(services.QualityService) services.QualityService{
+		"HR_MC_score": alwaysFail,
+	})
+	compiled := compileWith(t, c, qvlang.PaperViewXML)
+	log := NewFailureLog()
+	out, err := compiled.Run(WithFailureLog(context.Background(), log), []evidence.Item{item(0), item(1)})
+	if err == nil || !strings.Contains(err.Error(), "flaky: injected failure") {
+		t.Fatalf("Run = %d outputs, error %v; want the QA's injected failure", len(out), err)
+	}
+	if fs := log.Failures(); len(fs) != 1 || fs[0].Processor != "QA:HR_MC_score" {
+		t.Errorf("caller's log holds %+v, want one QA:HR_MC_score failure", fs)
 	}
 }

@@ -105,12 +105,16 @@ func (r *renamedProcessor) Execute(ctx context.Context, in workflow.Ports) (work
 	return r.inner.Execute(ctx, in)
 }
 
-// renameGuarded renames a compiled quality-service processor for the
-// merged graph. The rename sits INSIDE the degrade wrapper: the wrapper
-// records failures under its inner processor's name, and per-view failure
+// renamed presents a compiled processor under its name in the merged
+// graph, or as itself when that name is its own. For a guarded quality
+// service the rename sits INSIDE the degrade wrapper: the wrapper records
+// failures under its inner processor's name, and per-view failure
 // attribution needs the merged name there (EnactMap translates it back to
 // each member view's own processor name afterwards).
-func renameGuarded(p workflow.Processor, name string) workflow.Processor {
+func renamed(p workflow.Processor, name string) workflow.Processor {
+	if p.Name() == name {
+		return p
+	}
 	if d, ok := p.(*degradeProcessor); ok {
 		return &degradeProcessor{
 			inner:  &renamedProcessor{inner: d.inner, name: name},
@@ -128,7 +132,7 @@ func mergedProcName(orig, fp string) string { return orig + "@" + fp[:10] }
 // memberView is one view's slice of the merged plan.
 type memberView struct {
 	view   *Compiled
-	prefix string            // output namespace: "<view name>/"
+	prefix string            // output namespace: "<view name>/" ("" in a plan of one)
 	procs  map[string]string // merged quality-proc name → this view's own name
 }
 
@@ -182,11 +186,15 @@ func (b *mergeBuilder) control(c workflow.ControlLink) {
 	}
 }
 
-// MergeViews builds a MultiView over the given compiled views. View names
-// must be unique — they namespace the merged outputs ("<view>/<output>").
-// A plan of one view is named after that view, so its enactment span
-// ("enact:<view>") and the telemetry labelled by plan name read as the
-// view's own.
+// MergeViews builds a MultiView over the given compiled views. It is the
+// one place a quality workflow is laid out: Compile makes each view's plan
+// of one here. View names must be unique — they namespace the merged
+// outputs ("<view>/<output>") and processors ("<name>@<fingerprint>").
+// A plan of one keeps the view's own names: it is named after the view,
+// its processors and outputs carry no namespace, and so its workflow is
+// the view's own (Compiled.Workflow), its enactment span reads
+// "enact:<view>", and the telemetry labelled by plan or processor name
+// reads as the view's.
 //
 // Merged enactment runs every annotator once regardless of how many views
 // declare it; that is equivalent to independent enactment because
@@ -202,7 +210,7 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 	nameSeen := map[string]bool{}
 	nameKey := qcache.NewKey().Str("mqo-plan")
 	for _, v := range views {
-		n := v.Workflow.Name()
+		n := v.name
 		if nameSeen[n] {
 			return nil, fmt.Errorf("compiler: duplicate view name %q in view set", n)
 		}
@@ -218,27 +226,27 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 	}
 
 	mv := &MultiView{name: fmt.Sprintf("mqo:%d@%s", len(views), nameKey.Sum()[:10])}
+	procName := mergedProcName
 	if len(views) == 1 {
-		mv.name = views[0].Workflow.Name()
+		mv.name = views[0].name
+		procName = func(orig, _ string) string { return orig }
 	}
 	b := &mergeBuilder{wf: workflow.New(mv.name)}
 	shared := map[string]string{} // subgraph fingerprint → merged proc name
 	usedBy := map[string]int{}    // merged quality-proc name → #views
 	for i, v := range views {
 		fp := prints[i]
-		member := &memberView{
-			view:   v,
-			prefix: v.Workflow.Name() + "/",
-			procs:  map[string]string{},
+		member := &memberView{view: v, procs: map[string]string{}}
+		if len(views) > 1 {
+			member.prefix = v.name + "/"
 		}
 		mv.totalQuality += len(v.annotators) + 1 + len(v.qas)
 
 		for j, p := range v.annotators {
 			merged, ok := shared[fp.anns[j]]
 			if !ok {
-				merged = mergedProcName(p.name, fp.anns[j])
-				guarded, _ := v.Workflow.Processor(p.name)
-				b.add(renameGuarded(guarded, merged))
+				merged = procName(p.name, fp.anns[j])
+				b.add(renamed(v.guarded[p.name], merged))
 				b.bindInput(PortDataSet, merged, PortDataSet)
 				shared[fp.anns[j]] = merged
 			}
@@ -250,9 +258,8 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 
 		em, ok := shared[fp.enrich]
 		if !ok {
-			em = mergedProcName(ProcEnrichment, fp.enrich)
-			guarded, _ := v.Workflow.Processor(ProcEnrichment)
-			b.add(renameGuarded(guarded, em))
+			em = procName(ProcEnrichment, fp.enrich)
+			b.add(renamed(v.guarded[ProcEnrichment], em))
 			b.bindInput(PortDataSet, em, PortDataSet)
 			for j := range v.annotators {
 				b.control(workflow.ControlLink{From: shared[fp.anns[j]], To: em})
@@ -265,9 +272,8 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 		for j, p := range v.qas {
 			merged, ok := shared[fp.qas[j]]
 			if !ok {
-				merged = mergedProcName(p.name, fp.qas[j])
-				guarded, _ := v.Workflow.Processor(p.name)
-				b.add(renameGuarded(guarded, merged))
+				merged = procName(p.name, fp.qas[j])
+				b.add(renamed(v.guarded[p.name], merged))
 				b.link(workflow.Link{
 					From: em, FromPort: PortAnnotations,
 					To: merged, ToPort: PortAnnotations,
@@ -282,9 +288,9 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 
 		cm, ok := shared[fp.cons]
 		if !ok {
-			cm = mergedProcName(ProcConsolidate, fp.cons)
+			cm = procName(ProcConsolidate, fp.cons)
 			cons := &consolidateProcessor{name: cm}
-			if len(v.qas) == 0 {
+			if len(v.qas) == 0 { // the enrichment output is consolidated directly
 				cons.inputs = []string{"in0"}
 				b.add(cons)
 				b.link(workflow.Link{From: em, FromPort: PortAnnotations, To: cm, ToPort: "in0"})
@@ -302,6 +308,9 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 			}
 			shared[fp.cons] = cm
 		}
+		// The consolidated map is an output too: enactors that need every
+		// item's assertion state (rejected items' classes and scores, as in
+		// stream decision records) read it without re-running the QAs.
 		b.bindOutput(member.prefix+OutputAnnotations, cm, PortAnnotations)
 
 		// Actions are never shared: their conditions are per-view and
@@ -310,7 +319,7 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 		for _, act := range v.Resolved.Actions {
 			p := v.actions[act.Name]
 			merged := member.prefix + p.name
-			b.add(&renamedProcessor{inner: p, name: merged})
+			b.add(renamed(p, merged))
 			b.link(workflow.Link{
 				From: cm, FromPort: PortAnnotations,
 				To: merged, ToPort: PortAnnotations,
@@ -360,9 +369,9 @@ func checkAnnotatorConflicts(views []*Compiled, prints []viewPrints) error {
 				if prev, ok := providers[c]; ok && prev.fp != fp {
 					return fmt.Errorf(
 						"compiler: cannot merge: annotators %q (view %q) and %q (view %q) both provide evidence %v in repository %q",
-						prev.svc, prev.view, ann.Decl.ServiceName, v.Workflow.Name(), pv.Evidence, pv.Repository)
+						prev.svc, prev.view, ann.Decl.ServiceName, v.name, pv.Evidence, pv.Repository)
 				}
-				providers[c] = provider{view: v.Workflow.Name(), svc: ann.Decl.ServiceName, fp: fp}
+				providers[c] = provider{view: v.name, svc: ann.Decl.ServiceName, fp: fp}
 			}
 		}
 	}
@@ -378,14 +387,15 @@ func checkAnnotatorConflicts(views []*Compiled, prints []viewPrints) error {
 			if p, ok := providers[c]; ok && !own[c] {
 				return fmt.Errorf(
 					"compiler: cannot merge: view %q reads evidence %v from repository %q, which annotator %q (view %q) writes — merged ordering would differ from independent enactment",
-					v.Workflow.Name(), ev, repo, p.svc, p.view)
+					v.name, ev, repo, p.svc, p.view)
 			}
 		}
 	}
 	return nil
 }
 
-// Name returns the merged plan's name ("mqo:<n>@<digest>").
+// Name returns the merged plan's name ("mqo:<n>@<digest>", or the view's
+// own name for a plan of one).
 func (mv *MultiView) Name() string { return mv.name }
 
 // Views returns the member views in merge order.
@@ -428,14 +438,20 @@ func (mv *MultiView) Enact(ctx context.Context, items []evidence.Item) (map[stri
 }
 
 // EnactMap is Enact over a prepared evidence map (items may already carry
-// inline evidence, as in streaming windows). The shared prefixes execute
-// once; per-view failures are then attributed through each view's own
-// degraded-mode policy, so one view's failed QA aborts (or degrades) that
-// view alone. The returned error is reserved for whole-plan failures.
+// inline evidence, as in streaming windows). It is the one enactment path:
+// Compiled.Run and Execute enact the view's plan of one through it. The
+// shared prefixes execute once; per-view failures are then attributed
+// through each view's own degraded-mode policy, so one view's failed QA
+// fails (or degrades) that view alone. Failures already in the caller's
+// FailureLog when the run starts (say, a per-run cache that could not be
+// cleared) apply to every member view. The returned error is reserved for
+// whole-plan failures.
 func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string]ViewResult, error) {
 	started := time.Now()
 	ctx, span := telemetry.StartSpan(ctx, "enact:"+mv.name)
 	outer, hasOuter := FailureLogFrom(ctx)
+	prior := outer.Failures()
+	prior = prior[:len(prior):len(prior)] // each view's append copies
 	// The merged run always carries its own log: a terminal failure in a
 	// shared prefix must degrade (per view) instead of aborting siblings.
 	log := NewFailureLog()
@@ -452,12 +468,12 @@ func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string
 	results := make(map[string]ViewResult, len(mv.members))
 	for _, member := range mv.members {
 		v := member.view
-		vname := v.Workflow.Name()
-		mode := v.DegradedMode() // read once, like Compiled.Execute
+		vname := v.name
+		mode := v.DegradedMode() // read once so a concurrent flip can't split the run
 
 		// This view's failures, translated back to its own processor
 		// names so degraded-evidence markers match independent enactment.
-		var vfail []Failure
+		vfail := prior
 		for _, f := range failures {
 			if orig, ok := member.procs[f.Processor]; ok {
 				g := f

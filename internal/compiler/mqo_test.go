@@ -3,6 +3,7 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -612,4 +613,46 @@ func TestSetDegradedModeConcurrentWithEnactment(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// noQAViewXML has an annotator and a filter over its evidence but no
+// QAs: the enrichment output is consolidated directly.
+const noQAViewXML = `<QualityView name="evidence-only">
+  <Annotator servicename="ImprintOutputAnnotator" servicetype="q:ImprintOutputAnnotation">
+    <variables repositoryRef="cache" persistent="false">
+      <var evidence="q:HitRatio"/>
+      <var evidence="q:Coverage"/>
+    </variables>
+  </Annotator>
+  <action name="keep hits"><filter><condition>HitRatio &gt; 0.5</condition></filter></action>
+</QualityView>`
+
+// TestPlanOfOneIsTheViewsWorkflow: merging one view lays out the workflow
+// its Compile holds, with the view's own names — no fingerprint suffix on
+// processors, no view prefix on outputs.
+func TestPlanOfOneIsTheViewsWorkflow(t *testing.T) {
+	c := testCompiler(t)
+	for _, xml := range []string{qvlang.PaperViewXML, splitterViewXML, noQAViewXML} {
+		v := compileWith(t, c, xml)
+		mv, err := MergeViews(v)
+		if err != nil {
+			t.Fatalf("MergeViews(%s): %v", v.Name(), err)
+		}
+		got, want := mv.Workflow(), v.Workflow
+		for _, cmp := range []struct {
+			what      string
+			got, want any
+		}{
+			{"Name", got.Name(), want.Name()},
+			{"Processors", got.Processors(), want.Processors()},
+			{"DataLinks", got.DataLinks(), want.DataLinks()},
+			{"ControlLinks", got.ControlLinks(), want.ControlLinks()},
+			{"InputPorts", got.InputPorts(), want.InputPorts()},
+			{"OutputPorts", got.OutputPorts(), want.OutputPorts()},
+		} {
+			if !reflect.DeepEqual(cmp.got, cmp.want) {
+				t.Errorf("%s: plan of one %s = %v, view's workflow has %v", v.Name(), cmp.what, cmp.got, cmp.want)
+			}
+		}
+	}
 }

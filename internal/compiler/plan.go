@@ -51,7 +51,7 @@ type ActionPlan struct {
 func (c *Compiled) Plan() Plan {
 	r := c.Resolved
 	p := Plan{
-		View:         c.Workflow.Name(),
+		View:         c.name,
 		EvidenceRepo: make(map[rdf.Term]string, len(r.EvidenceRepo)),
 		Vars:         make(map[string]rdf.Term, len(r.Vars)),
 		Outputs:      append([]string(nil), c.Outputs...),

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -24,7 +25,9 @@ func (t Triple) String() string {
 	return t.Subject.String() + " " + t.Predicate.String() + " " + t.Object.String() + " ."
 }
 
-// Validate reports whether the triple is well-formed RDF.
+// Validate reports whether the triple is well-formed RDF that ParseTriple
+// reads back from its N-Triples rendering (String), term for term — what
+// a durable store needs to recover what it wrote.
 func (t Triple) Validate() error {
 	switch {
 	case t.Subject.IsZero() || t.Predicate.IsZero() || t.Object.IsZero():
@@ -33,6 +36,37 @@ func (t Triple) Validate() error {
 		return fmt.Errorf("rdf: literal subject: %v", t)
 	case !t.Predicate.IsIRI():
 		return fmt.Errorf("rdf: non-IRI predicate: %v", t)
+	}
+	for _, term := range [3]Term{t.Subject, t.Predicate, t.Object} {
+		if err := term.unreadable(); err != nil {
+			return fmt.Errorf("rdf: %w: %v", err, t)
+		}
+	}
+	return nil
+}
+
+// unreadable says why ParseTriple could not read the term back from its
+// rendering, or returns nil. The parser ends an IRI (a literal's datatype
+// IRI too) at its first '>', a blank node label at its first space or
+// tab, and a language tag at its first space, tab or '.'. Spaces inside
+// IRIs read back, so they stay allowed.
+func (t Term) unreadable() error {
+	switch t.kind {
+	case KindIRI:
+		if t.value == "" || strings.IndexByte(t.value, '>') >= 0 {
+			return fmt.Errorf("IRI %q is empty or contains '>'", t.value)
+		}
+	case KindBlank:
+		if t.value == "" || strings.ContainsAny(t.value, " \t") {
+			return fmt.Errorf("blank node label %q is empty or contains a space or tab", t.value)
+		}
+	case KindLiteral:
+		if t.lang != "" && strings.ContainsAny(t.lang, " \t.") {
+			return fmt.Errorf("language tag %q contains a space, tab or '.'", t.lang)
+		}
+		if t.lang == "" && strings.IndexByte(t.datatype, '>') >= 0 {
+			return fmt.Errorf("datatype IRI %q contains '>'", t.datatype)
+		}
 	}
 	return nil
 }

@@ -214,7 +214,9 @@ func (t Term) String() string {
 		if t.lang != "" {
 			b.WriteByte('@')
 			b.WriteString(t.lang)
-		} else if t.datatype != "" && t.datatype != XSDString {
+		} else if t.datatype != "" {
+			// An explicit xsd:string too: TypedLiteral(x, XSDString) and
+			// Literal(x) are distinct terms, and each must read back as itself.
 			b.WriteString("^^<")
 			b.WriteString(t.datatype)
 			b.WriteByte('>')

@@ -20,6 +20,7 @@ import (
 	"qurator/internal/rdf"
 	"qurator/internal/services"
 	"qurator/internal/stream"
+	"qurator/internal/telemetry"
 )
 
 // enact feeds n synthetic hits through a fresh enactor and returns the
@@ -297,6 +298,30 @@ func TestNewLeavesCompiledViewUntouched(t *testing.T) {
 	}
 	if _, err := c.Run(context.Background(), []evidence.Item{hit(0), hit(1)}); err != nil {
 		t.Fatalf("batch Run after stream.New: %v", err)
+	}
+}
+
+// TestPlanOfOneStreamKeepsViewProcessorNames: a single-view stream
+// enacts the view's plan of one, so its processor series carry the
+// view's own processor names, as batch runs do.
+func TestPlanOfOneStreamKeepsViewProcessorNames(t *testing.T) {
+	const view = "protein-id-quality" // qvlang.PaperViewXML
+	fires := telemetry.Default.CounterVec("qurator_processor_fires_total", "", "workflow", "processor").
+		With(view, "QA:HR_MC_score")
+	before := fires.Value()
+	enact(t, stream.Config{Window: 4}, 8)
+	if got := fires.Value() - before; got != 2 {
+		t.Errorf("QA:HR_MC_score fired %d times over 2 windows, want 2", got)
+	}
+	for _, m := range telemetry.Default.Snapshot() {
+		if !strings.HasPrefix(m.Name, "qurator_processor_") {
+			continue
+		}
+		for _, s := range m.Series {
+			if s.Labels["workflow"] == view && strings.Contains(s.Labels["processor"], "@") {
+				t.Errorf("%s{processor=%q}: a single-view stream renamed the view's processor", m.Name, s.Labels["processor"])
+			}
+		}
 	}
 }
 
